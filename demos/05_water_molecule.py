@@ -26,13 +26,13 @@ print(
 
 print("\n== scaling constants by strategy ==")
 for strategy in molham.Strategy.ALL:
-    est = molham.norm_estimates(spec, strategy)
+    est = molham.norm_estimates(system, strategy)
     print(f"{strategy:13s} zeta = {est.total_au:9.3f} Ha = {est.total_cm:12.1f} cm^-1")
 radius = float(np.max(np.abs(levels)))
 print(f"(spectral radius {radius:.3f} Ha; every zeta stays above it)")
 
 print("\n== block-encoding bills at the large grid (n_theta=64, n_R=32) ==")
-big = molham.water_spec(n_r=32, n_theta=64)
+big = molham.water_hamiltonian(molham.water_spec(n_r=32, n_theta=64))
 for strategy in molham.Strategy.ALL:
     sc = molham.strategy_cost(big, strategy, molham.Backend.SELECT_SWAP)
     qpe = molham.qpe_cost(sc.zeta_cm, sc.report, epsilon_cm=1.0)
@@ -42,6 +42,6 @@ for strategy in molham.Strategy.ALL:
     )
 
 print("\n== the WH backend prices the actual term spectra ==")
-sc_wh = molham.strategy_cost(spec, molham.Strategy.FBR_DVR, molham.Backend.WH)
+sc_wh = molham.strategy_cost(system, molham.Strategy.FBR_DVR, molham.Backend.WH)
 for name, t, anc in sc_wh.breakdown:
     print(f"  {name:20s} T = {t:8d}  ancillas = {anc}")

@@ -28,6 +28,7 @@ from .wht import SampledFunction, minimal_truncation
 __all__ = [
     "SelectSwapModel",
     "selectswap_cost",
+    "optimal_lookup",
     "optimize_lambda",
     "optimize_lambda_pow2",
     "compare",
@@ -86,32 +87,39 @@ def selectswap_cost(m: SelectSwapModel, f: SampledFunction | None = None) -> Cos
     )
 
 
-def _toffoli(eta: int, d: int, lam: int) -> int:
-    return math.ceil((1 << eta) / lam) + 2 * d * lam
+def _toffoli(n: int, d: int, lam: int) -> int:
+    return math.ceil(n / lam) + 2 * d * lam
+
+
+def optimal_lookup(n_entries: int, d: int) -> tuple[int, int, int, int]:
+    """Toffoli-optimal SELECT-SWAP lookup of n_entries entries of d bits.
+
+    Returns (lambda, toffoli, toffoli_depth, ancillas) with ancillas =
+    lambda * d + ceil(log2 n_entries); ties go to the smaller lambda.  The
+    scan covers [lambda*/4, 4 lambda* + 8] around the real optimum
+    lambda* = sqrt(n / (2d)), plus 1 and 2**ceil(log2 n).  Outside that
+    window the smooth cost n/lambda + 2 d lambda is at least 8.5 d lambda*,
+    against 4 d lambda* at lambda*, so the window always holds the optimum.
+    """
+    eta = (n_entries - 1).bit_length()
+    lam_star = math.sqrt(n_entries / (2 * d))
+    lo = max(1, int(lam_star / 4))
+    hi = min(1 << eta, int(4 * lam_star) + 8)
+    lam = min(
+        [*range(lo, hi + 1), 1, 1 << eta],
+        key=lambda lam: (_toffoli(n_entries, d, lam), lam),
+    )
+    t_depth = math.ceil(n_entries / lam + math.log2(lam))
+    return lam, _toffoli(n_entries, d, lam), t_depth, lam * d + eta
 
 
 def optimize_lambda(
     eta: int, d: int, f: SampledFunction | None = None
 ) -> tuple[int, CostReport]:
-    """Integer lambda minimizing the Toffoli count; ties go to smaller lambda.
-
-    Exhaustive for small tables; otherwise scans a window around the real
-    optimum sqrt(2**eta / (2d)) wide enough to contain every integer whose
-    smooth cost is within one Toffoli of the optimum (the ceiling perturbs
-    the smooth cost by less than one), plus all powers of two.
-    """
-    n = 1 << eta
-    if n <= 1 << 16:
-        candidates = range(1, n + 1)
-    else:
-        lam_star = math.sqrt(n / (2 * d))
-        lo = max(1, int(lam_star / 4))
-        hi = min(n, int(4 * lam_star) + 8)
-        window = list(range(lo, hi + 1))
-        pows = [1 << k for k in range(eta + 1)]
-        candidates = sorted(set(window + pows + [1, n]))
-    best = min(candidates, key=lambda lam: (_toffoli(eta, d, lam), lam))
-    return best, selectswap_cost(SelectSwapModel(eta=eta, d=d, lam=best), f)
+    """Integer lambda minimizing the Toffoli count of a 2**eta-entry table;
+    ties go to smaller lambda (see :func:`optimal_lookup`)."""
+    lam = optimal_lookup(1 << eta, d)[0]
+    return lam, selectswap_cost(SelectSwapModel(eta=eta, d=d, lam=lam), f)
 
 
 def optimize_lambda_pow2(
@@ -120,7 +128,7 @@ def optimize_lambda_pow2(
     """Best power-of-two lambda, for the classic construction."""
     best = min(
         (1 << k for k in range(eta + 1)),
-        key=lambda lam: (_toffoli(eta, d, lam), lam),
+        key=lambda lam: (_toffoli(1 << eta, d, lam), lam),
     )
     return best, selectswap_cost(SelectSwapModel(eta=eta, d=d, lam=best), f)
 

@@ -199,6 +199,8 @@ class SparseOracle:
         rho = actual if rho is None else rho
         if rho < max(1, actual):
             raise RangeError(f"declared rho = {rho} below the actual sparsity {actual}")
+        if rho > n:
+            raise RangeError(f"declared rho = {rho} exceeds the dimension {n}")
         columns = np.empty((n, rho), dtype=np.int64)
         for j in range(n):
             if f is not None:

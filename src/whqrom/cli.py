@@ -302,21 +302,20 @@ def cmd_molham(args) -> dict:
         spec = molham.water_spec()
     strategies = molham.Strategy.ALL if args.strategy == "all" else (args.strategy,)
     payload: dict = {"spec": _spec_dict(spec)}
+    system = molham.water_hamiltonian(spec)
     if spec.grid_size <= molham.MAX_DENSE_GRID:
-        system = molham.water_hamiltonian(spec)
         levels = system.eigenvalues()[: args.levels]
         payload["eigenvaluesCm"] = [
             float(v) for v in (levels - levels[0]) * molham.CM1_PER_HARTREE
         ]
     entries = []
     for strat in strategies:
-        estimate = molham.norm_estimates(spec, strat)
-        sc = molham.strategy_cost(spec, strat, args.backend)
-        qpe = molham.qpe_cost(estimate.total_cm, sc.report, args.epsilon_cm)
+        sc = molham.strategy_cost(system, strat, args.backend)
+        qpe = molham.qpe_cost(sc.norm.total_cm, sc.report, args.epsilon_cm)
         entries.append(
             {
                 "strategy": strat,
-                "norm": estimate.to_json_dict(),
+                "norm": sc.norm.to_json_dict(),
                 "blockEncoding": sc.to_json_dict(),
                 "qpe": qpe.to_json_dict(),
             }

@@ -28,6 +28,7 @@ import csv as _csv
 import enum
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -335,8 +336,9 @@ def segment_init_cost(n: int, m: int, segment: int, method: str = "select-swap")
 
 
 def export_matrix_csv(matrix: np.ndarray, path) -> None:
-    """Row-major CSV with 17 significant digits."""
+    """Row-major CSV with 17 significant digits; creates the parent directory."""
     arr = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
         writer = _csv.writer(fh)
         for row in arr:

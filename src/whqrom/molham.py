@@ -18,8 +18,12 @@ exchange-symmetric half H_eff (H = H_eff + SWAP H_eff SWAP) is tracked
 alongside for the CSWAP-reduced encodings.
 
 Cost tables price the four encoding strategies with either the SELECT-SWAP
-lookup model or actual Walsh-Hadamard QROM synthesis on the term data.
-All O(.) slack terms carry explicit documented constants.
+lookup model (baseline.optimal_lookup) or actual Walsh-Hadamard QROM
+synthesis on the term data.  Both backends answer the same c_q / c_d calls.
+A system is built once by water_hamiltonian; norm_estimates and
+strategy_cost take the built system, and each StrategyCost carries the norm
+estimate of its row.  All O(.) slack terms carry explicit documented
+constants.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import eigh
 
+from .baseline import optimal_lookup
 from .dvr import QuadratureKind, build_transform, dvr_oracle_cost, gauss_quadrature
 from .errors import ConfigError, FitError, GridError, RangeError, ScaleError
 from .qrom import CostReport, cost, pair_cancel, synthesize
@@ -608,8 +613,8 @@ def angular_momentum_zeta(j_total: int) -> dict:
     return {"jz": float(j_total), "jxy": 2.0 * float(np.max(ladder))}
 
 
-def norm_estimates(spec: ToyMoleculeSpec, strategy: str) -> NormEstimate:
-    """Strategy-resolved zeta bookkeeping for the toy system.
+def norm_estimates(system: WaterSystem, strategy: str) -> NormEstimate:
+    """Strategy-resolved zeta bookkeeping for a built toy system.
 
     FBR_DVR multiplies the closed-form momentum constants by grid-sampled
     metric maxima per H_eff term and doubles for the CSWAP symmetry;
@@ -619,7 +624,7 @@ def norm_estimates(spec: ToyMoleculeSpec, strategy: str) -> NormEstimate:
     """
     if strategy not in Strategy.ALL:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    system = water_hamiltonian(spec)
+    spec = system.spec
     dims = system.dims
     n_grid = spec.grid_size
 
@@ -732,8 +737,12 @@ class StrategyCost:
     strategy: str
     backend: str
     report: CostReport
-    zeta_au: float
+    norm: NormEstimate
     breakdown: tuple
+
+    @property
+    def zeta_au(self) -> float:
+        return self.norm.total_au
 
     @property
     def zeta_cm(self) -> float:
@@ -752,111 +761,70 @@ class StrategyCost:
         }
 
 
-def _ss_lookup(n_entries: int, bits: int):
-    """Toffoli-optimal SELECT-SWAP lookup of n_entries x bits.
-
-    Returns (t_count, toffoli, t_depth, ancillas) with ancillas =
-    lambda * bits + ceil(log2 n_entries).
-    """
-    n_entries = max(2, int(n_entries))
-    eta = max(1, math.ceil(math.log2(n_entries)))
-    best = None
-    lam_star = math.sqrt(n_entries / (2.0 * bits))
-    lo = max(1, int(lam_star / 4))
-    hi = min(1 << eta, int(4 * lam_star) + 8)
-    for lam in list(range(lo, hi + 1)) + [1, 1 << eta]:
-        toffoli = math.ceil(n_entries / lam) + 2 * bits * lam
-        if best is None or (toffoli, lam) < best[:2]:
-            best = (toffoli, lam)
-    toffoli, lam = best
-    t_depth = math.ceil(n_entries / lam + math.log2(lam))
-    return 4 * toffoli, toffoli, t_depth, lam * bits + eta
+#: Rotation-angle precision of every diagonal rotation load.
+ROTATION_EPSILON = 2.0**-20
+#: Bits per rotation angle: 10 + 4 ceil(log2(1 / ROTATION_EPSILON)).
+ROTATION_BITS = 10 + 4 * math.ceil(math.log2(1.0 / ROTATION_EPSILON))
+#: Output bits of the matrix-element and DVR-transform lookups.
+TABLE_BITS = 30
+#: Truncation target and fixed-point digits of WH-synthesized term tables.
+WH_EPSILON = 2.0**-10
+WH_DIGITS = 15
 
 
 class _SelectSwapBackend:
-    """C_Q / C_D models: two lookups plus 7K controlled-gate tail for C_D."""
+    """Lookup costs as (t_count, t_depth, ancillas) from the SELECT-SWAP model.
 
-    name = Backend.SELECT_SWAP
-
-    def __init__(self, epsilon_rot: float = 2.0**-20):
-        self.k_bits = 10 + 4 * math.ceil(math.log2(1.0 / epsilon_rot))
-
-    def c_q(self, n_entries: int, bits: int):
-        t, toff, depth, anc = _ss_lookup(n_entries, bits)
-        return t, depth, anc
-
-    def c_d(self, n_entries: int, data=None):
-        t, depth, anc = self.c_q(n_entries, 2 * self.k_bits)
-        return 2 * t + 7 * self.k_bits, 2 * depth, anc
-
-    def qrom_coster(self, d_bits: int):
-        def coster(n_entries: int, d: int) -> CostReport:
-            t, depth, anc = self.c_q(n_entries, d_bits)
-            return CostReport.assemble(t, 0, 0, anc, depth)
-
-        return coster
-
-
-class _WhBackend:
-    """Prices diagonal loads by synthesizing the actual WH-QROM circuits.
-
-    c_d with table data runs quantize -> truncate -> synthesize ->
-    pair_cancel on the real values (normalized by twice their sup so the
-    arccos-free load stays well-conditioned); a single QROM call implements
-    the diagonal unitary through phase kickback.  Calls without data fall
-    back to the SELECT-SWAP model (cost tables stay total functions).
+    c_q loads n_entries entries of bits bits; c_d is a diagonal rotation
+    load, two ROTATION_BITS-wide lookups plus a 7 ROTATION_BITS
+    controlled-gate tail.  Both accept the term data and ignore it.
     """
 
-    name = Backend.WH
+    def c_q(self, n_entries: int, bits: int, data=None):
+        _, toffoli, depth, anc = optimal_lookup(n_entries, bits)
+        return 4 * toffoli, depth, anc
 
-    def __init__(self, epsilon: float = 2.0**-10, d_bits: int = 15):
-        self.epsilon = epsilon
-        self.d_bits = d_bits
-        self._fallback = _SelectSwapBackend()
+    def c_d(self, n_entries: int, data=None):
+        t, depth, anc = self.c_q(n_entries, 2 * ROTATION_BITS)
+        return 2 * t + 7 * ROTATION_BITS, 2 * depth, anc
 
-    def _wh_cost(self, values: np.ndarray):
+
+class _WhBackend(_SelectSwapBackend):
+    """Prices loads with term data by synthesizing the actual WH-QROM circuits.
+
+    With data, c_q and c_d run quantize -> truncate -> synthesize ->
+    pair_cancel on the real values (normalized by twice their sup so the
+    arccos-free load stays well-conditioned); a single QROM call implements
+    the diagonal unitary through phase kickback.  Calls without data use
+    the SELECT-SWAP model, so cost tables stay total functions.
+    """
+
+    @staticmethod
+    def _wh_cost(values: np.ndarray):
         values = np.asarray(values, dtype=np.float64).reshape(-1)
         size = 1 << max(1, (values.shape[0] - 1).bit_length())
         padded = np.zeros(size)
         padded[: values.shape[0]] = values
         sup = float(np.max(np.abs(padded)))
         theta = padded / (2.0 * sup) if sup > 0 else padded
-        f = quantize(theta, self.d_bits)
-        trunc = minimal_truncation(f, self.epsilon)
+        f = quantize(theta, WH_DIGITS)
+        trunc = minimal_truncation(f, WH_EPSILON)
         circuit = pair_cancel(synthesize(trunc), trunc)
         report = cost(circuit)
-        eta = f.eta
-        return report.t_count, report.t_depth, report.qubit_count - eta
+        return report.t_count, report.t_depth, report.qubit_count - f.eta
 
     def c_q(self, n_entries: int, bits: int, data=None):
         if data is None:
-            return self._fallback.c_q(n_entries, bits)
+            return super().c_q(n_entries, bits)
         return self._wh_cost(data)
 
     def c_d(self, n_entries: int, data=None):
         if data is None:
-            return self._fallback.c_d(n_entries)
+            return super().c_d(n_entries)
         return self._wh_cost(data)
 
-    def qrom_coster(self, d_bits: int, tables=None):
-        def coster(n_entries: int, d: int) -> CostReport:
-            if tables is not None and n_entries in tables:
-                t, depth, anc = self._wh_cost(tables[n_entries])
-            else:
-                t, depth, anc = self._fallback.c_q(n_entries, d_bits)
-            return CostReport.assemble(t, 0, 0, anc, depth)
 
-        return coster
-
-
-def _make_backend(backend: str, **kwargs):
-    if backend == Backend.SELECT_SWAP:
-        return _SelectSwapBackend(**{k: v for k, v in kwargs.items() if k == "epsilon_rot"})
-    if backend == Backend.WH:
-        return _WhBackend(
-            **{k: v for k, v in kwargs.items() if k in ("epsilon", "d_bits")}
-        )
-    raise ConfigError(f"unknown backend {backend!r}")
+_BACKENDS = {Backend.SELECT_SWAP: _SelectSwapBackend, Backend.WH: _WhBackend}
 
 
 #: Explicit constant for every O(log2 N) control/O_F tail: 4 Toffoli per qubit.
@@ -864,26 +832,25 @@ LOG_TAIL_TOFFOLI_PER_QUBIT = 4
 
 
 def strategy_cost(
-    spec: ToyMoleculeSpec,
-    strategy: str,
-    backend: str = Backend.SELECT_SWAP,
-    d_table: int = 30,
-    **backend_kwargs,
+    system: WaterSystem, strategy: str, backend: str = Backend.SELECT_SWAP
 ) -> StrategyCost:
-    """T-count table for one encoding strategy of the toy Hamiltonian.
+    """T-count table for one encoding strategy of a built system.
 
     SELECT_SWAP prices lookups by the Toffoli-optimal lambda; WH prices the
-    diagonal loads by synthesizing the actual spectra of the sampled term
-    data.  The O(log) control tails are booked as exactly
-    LOG_TAIL_TOFFOLI_PER_QUBIT Toffoli per involved qubit.
+    loads that carry term data by synthesizing the actual spectra of the
+    sampled values.  The O(log) control tails are booked as exactly
+    LOG_TAIL_TOFFOLI_PER_QUBIT Toffoli per involved qubit.  The row's norm
+    estimate is returned on the result as ``norm``.
     """
     if strategy not in Strategy.ALL:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    be = _make_backend(backend, **backend_kwargs)
-    system = water_hamiltonian(spec)
+    if backend not in _BACKENDS:
+        raise ConfigError(f"unknown backend {backend!r}")
+    be = _BACKENDS[backend]()
+    spec = system.spec
     n_grid = spec.grid_size
     log_n = max(1, math.ceil(math.log2(n_grid)))
-    norm = norm_estimates(spec, strategy)
+    norm = norm_estimates(system, strategy)
     breakdown = []
     total_t = total_depth = 0
     max_anc = 0
@@ -905,15 +872,15 @@ def strategy_cost(
             strategy=strategy,
             backend=backend,
             report=report,
-            zeta_au=norm.total_au,
+            norm=norm,
             breakdown=(("pauli_lcu", t, qubits),),
         )
 
     if strategy == Strategy.FULL_DVR:
         rho = full_dvr_sparsity(spec)
-        t, depth, anc = be.c_q(rho * n_grid, d_table)
+        t, depth, anc = be.c_q(rho * n_grid, TABLE_BITS)
         book("o_a_x4", 4 * t, 4 * depth, anc)
-        t2, d2, a2 = be.c_d(1 << min(d_table, 20))
+        t2, d2, a2 = be.c_d(1 << min(TABLE_BITS, 20))
         book("rotation_diag_x2", 2 * t2, 2 * d2, a2)
         tf, df, af = be.c_q(rho * n_grid, log_n)
         book("o_f", tf, df, af)
@@ -932,7 +899,7 @@ def strategy_cost(
             calls = [(f"mode_{i}", 1, n * n, None) for i, n in enumerate(spec.basis_sizes)]
             calls.append(("pes", 1, n_grid, _data(system, "pes")))
         for name, count, size, data in calls:
-            t, depth, anc = _c_d(be, size, data)
+            t, depth, anc = be.c_d(size, data)
             book(name, count * t, count * depth, anc)
         book("log_tail", 4 * LOG_TAIL_TOFFOLI_PER_QUBIT * log_n, 0, log_n)
     else:  # FBR_DVR
@@ -952,23 +919,24 @@ def strategy_cost(
             ]
             calls.append(("pes", 1, n_grid, _data(system, "pes")))
         for name, count, size, data in calls:
-            t, depth, anc = _c_d(be, size, data)
+            t, depth, anc = be.c_d(size, data)
             book(name, count * t, count * depth, anc)
-        d_bits = d_table
-        if backend == Backend.WH:
-            coster = be.qrom_coster(d_bits, tables=_arcsin_tables(system))
-        else:
-            coster = be.qrom_coster(d_bits)
-        dvr_report = dvr_oracle_cost(spec.basis_sizes, d_bits, coster)
+        tables = _arcsin_tables(system)
+
+        def coster(n_entries: int, d: int) -> CostReport:
+            t, depth, anc = be.c_q(n_entries, d, tables.get(n_entries))
+            return CostReport.assemble(t, 0, 0, anc, depth)
+
+        dvr_report = dvr_oracle_cost(spec.basis_sizes, TABLE_BITS, coster)
         book("dvr_transform_x2", 2 * dvr_report.t_count, 2 * dvr_report.t_depth,
              dvr_report.qubit_count)
         book("log_tail", 4 * LOG_TAIL_TOFFOLI_PER_QUBIT * log_n, 0, log_n)
     if strategy in (Strategy.FBR_DVR, Strategy.SEPARATE_DVR) and spec.j_total > 0:
         # rotational rows: the z ladder is diagonal, x/y are 2-sparse
         j_dim = 2 * spec.j_total + 1
-        t, depth, anc = _c_d(be, j_dim, None)
+        t, depth, anc = be.c_d(j_dim)
         book("jz_x2", 2 * t, 2 * depth, anc)
-        t, depth, anc = _c_d(be, 2 * j_dim, None)
+        t, depth, anc = be.c_d(2 * j_dim)
         book("jxy_x4", 4 * t, 4 * depth, anc)
 
     total_t = 4 * ((total_t + 3) // 4)
@@ -978,15 +946,9 @@ def strategy_cost(
         strategy=strategy,
         backend=backend,
         report=report,
-        zeta_au=norm.total_au,
+        norm=norm,
         breakdown=tuple(breakdown),
     )
-
-
-def _c_d(be, size, data):
-    if isinstance(be, _WhBackend):
-        return be.c_d(size, data)
-    return be.c_d(size)
 
 
 def _data(system: WaterSystem, which: str):

@@ -40,9 +40,6 @@ __all__ = [
     "Cnot",
     "XGate",
     "CSwap",
-    "Hadamard",
-    "SGate",
-    "SDagger",
     "QromCircuit",
     "CostReport",
     "synthesize",
@@ -126,24 +123,7 @@ class CSwap:
     pairs: tuple
 
 
-@dataclass(frozen=True)
-class Hadamard:
-    target: int
-
-
-@dataclass(frozen=True)
-class SGate:
-    target: int
-
-
-@dataclass(frozen=True)
-class SDagger:
-    target: int
-
-
-Gate = Union[Pfx, Adder, CAdder, Cnot, XGate, CSwap, Hadamard, SGate, SDagger]
-
-_NON_PERMUTATION = (Hadamard, SGate, SDagger)
+Gate = Union[Pfx, Adder, CAdder, Cnot, XGate, CSwap]
 
 
 @dataclass(frozen=True)
@@ -370,8 +350,6 @@ def _gate_resources(gate: Gate, eta: int, b: int):
         npairs = len(gate.pairs)
         keys = (("q", gate.control),) + tuple(("q", q) for ab in gate.pairs for q in ab)
         return 4 * npairs, 1, 2 * npairs, 0, 0, keys
-    if isinstance(gate, (Hadamard, SGate, SDagger)):
-        return 0, 0, 0, 1, 0, (("q", gate.target),)
     raise ShapeError(f"unknown gate {gate!r}")
 
 
@@ -532,7 +510,7 @@ def simulate(circuit: QromCircuit, x: int, y: int) -> int:
     """Run the circuit on basis state |x>|y>|0...0> and return the payload.
 
     Every gate is a permutation composed with modular additions, so this is
-    pure integer arithmetic.  Non-permutation gates (H, S) raise.
+    pure integer arithmetic.
     """
     eta, b = circuit.input_width, circuit.payload_width
     if not 0 <= x < (1 << eta):
@@ -563,11 +541,6 @@ def simulate(circuit: QromCircuit, x: int, y: int) -> int:
                     if ba != bb:
                         x, y, anc = _bit_flip(x, y, anc, qa, eta, b)
                         x, y, anc = _bit_flip(x, y, anc, qb, eta, b)
-        elif isinstance(gate, _NON_PERMUTATION):
-            raise ShapeError(
-                f"{type(gate).__name__} is not a basis-state permutation; "
-                "use the dense-unitary path instead"
-            )
         else:
             raise ShapeError(f"unknown gate {gate!r}")
     if anc:
@@ -631,11 +604,6 @@ def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
                 differ = sel & (get_bits(qa) != get_bits(qb))
                 flip(qa, differ)
                 flip(qb, differ)
-        elif isinstance(gate, _NON_PERMUTATION):
-            raise ShapeError(
-                f"{type(gate).__name__} is not a basis-state permutation; "
-                "use the dense-unitary path instead"
-            )
         else:
             raise ShapeError(f"unknown gate {gate!r}")
     if np.any(anc):
@@ -777,12 +745,6 @@ def circuit_to_lines(circuit: QromCircuit) -> str:
         elif isinstance(g, CSwap):
             pairs = ",".join(f"{a}:{bq}" for a, bq in g.pairs)
             lines.append(f"CSWAP {g.control} {pairs}")
-        elif isinstance(g, Hadamard):
-            lines.append(f"H {g.target}")
-        elif isinstance(g, SGate):
-            lines.append(f"S {g.target}")
-        elif isinstance(g, SDagger):
-            lines.append(f"SDG {g.target}")
         else:
             raise ShapeError(f"unknown gate {g!r}")
     return "\n".join(lines) + "\n"
@@ -818,12 +780,6 @@ def circuit_from_lines(text: str) -> QromCircuit:
                     tuple(int(v) for v in chunk.split(":")) for chunk in parts[2].split(",")
                 )
                 gates.append(CSwap(int(parts[1]), pairs))
-            elif op == "H":
-                gates.append(Hadamard(int(parts[1])))
-            elif op == "S":
-                gates.append(SGate(int(parts[1])))
-            elif op == "SDG":
-                gates.append(SDagger(int(parts[1])))
             else:
                 raise ParseError(f"line {lineno}: unknown opcode {op!r}")
         except (IndexError, ValueError) as exc:

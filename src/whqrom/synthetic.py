@@ -19,10 +19,11 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigError, RangeError
+from .errors import ConfigError, RangeError, ScaleError
 
 __all__ = [
     "SyntheticPes",
+    "MAX_ETA",
     "grid_coordinates",
     "separable_harmonic",
     "morse_sum",
@@ -30,6 +31,11 @@ __all__ = [
     "make_pes",
     "PES_GENERATORS",
 ]
+
+
+#: Largest address width a synthetic table may be sampled at (2**24 points,
+#: 128 MiB per float64 array).
+MAX_ETA = 24
 
 
 @dataclass(frozen=True)
@@ -55,6 +61,8 @@ def grid_coordinates(eta: int, dims: int) -> list[np.ndarray]:
     """
     if dims < 1 or eta < dims:
         raise RangeError(f"cannot split {eta} bits into {dims} coordinates")
+    if eta > MAX_ETA:
+        raise ScaleError(f"eta = {eta} exceeds the limit MAX_ETA = {MAX_ETA}")
     bits = [eta // dims + (1 if i < eta % dims else 0) for i in range(dims)]
     x = np.arange(1 << eta)
     out = []

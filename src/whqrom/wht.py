@@ -20,6 +20,7 @@ requested error bound.
 from __future__ import annotations
 
 import csv as _csv
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -293,21 +294,13 @@ class _IncrementalScan:
         self.k += 1
 
 
-def minimal_truncation(
-    f: SampledFunction, epsilon: float, accelerated: bool = False
-) -> TruncatedSpectrum:
+def minimal_truncation(f: SampledFunction, epsilon: float) -> TruncatedSpectrum:
     """Smallest-k truncation whose reconstruction beats epsilon.
 
     Scans k = 0, 1, 2, ... in the deterministic magnitude order and stops at
     the first k with ``diag_error(f, g_k) < epsilon``.  Once every nonzero
     coefficient is retained the error is exactly zero, so the scan always
     terminates.
-
-    With ``accelerated=True`` the scan probes k = 0, 1, 2, 4, 8, ... and
-    backtracks linearly inside the final bracket.  This returns the same k
-    as the linear scan whenever the error profile is non-increasing along
-    the magnitude order; on a non-monotone profile it may settle on a larger
-    admissible k, so tests pin it only on profiles where the two agree.
     """
     if not epsilon > 0:
         raise RangeError(f"epsilon must be positive, got {epsilon}")
@@ -320,33 +313,11 @@ def minimal_truncation(
         return TruncatedSpectrum(base=spectrum, k=k, order=order_tuple)
 
     scan = _IncrementalScan(f, spectrum.coeffs, order)
-    if not accelerated:
-        while scan.k <= nonzero:
-            if scan.error() < epsilon:
-                return make(scan.k)
-            scan.advance()
-        return make(nonzero)
-
-    checkpoints = [0, 1]
-    while checkpoints[-1] < nonzero:
-        checkpoints.append(min(2 * checkpoints[-1], nonzero))
-    lo = 0
-    hi = nonzero
-    for cp in checkpoints:
-        while scan.k < cp:
-            scan.advance()
-        if scan.error() < epsilon:
-            hi = cp
-            break
-        lo = cp + 1
-    scan = _IncrementalScan(f, spectrum.coeffs, order)
-    while scan.k < lo:
-        scan.advance()
-    while scan.k < hi:
+    while scan.k <= nonzero:
         if scan.error() < epsilon:
             return make(scan.k)
         scan.advance()
-    return make(hi)
+    return make(nonzero)
 
 
 def truncation_error_curve(f: SampledFunction, upto: int | None = None) -> np.ndarray:
@@ -369,7 +340,8 @@ def truncation_error_curve(f: SampledFunction, upto: int | None = None) -> np.nd
 
 
 def read_theta_binary(path) -> np.ndarray:
-    """Little-endian float64 samples; the length must be a power of two."""
+    """Little-endian float64 samples; the length must be a power of two and
+    every sample finite."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -379,11 +351,15 @@ def read_theta_binary(path) -> np.ndarray:
     data = np.frombuffer(raw, dtype="<f8")
     if data.size == 0 or data.size & (data.size - 1):
         raise ParseError(f"{path}: sample count {data.size} is not a power of two")
+    bad = np.flatnonzero(~np.isfinite(data))
+    if bad.size:
+        raise ParseError(f"{path}: sample {int(bad[0])} is not finite ({data[bad[0]]})")
     return data.astype(np.float64)
 
 
 def read_theta_csv(path) -> np.ndarray:
-    """One sample per line; blank lines ignored; errors carry line numbers."""
+    """One finite sample per line; blank lines ignored; errors carry line
+    numbers."""
     values = []
     try:
         fh = open(path, newline="")
@@ -396,9 +372,12 @@ def read_theta_csv(path) -> np.ndarray:
             if len(row) != 1:
                 raise ParseError(f"{path}:{lineno}: expected one value per line")
             try:
-                values.append(float(row[0]))
+                value = float(row[0])
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(value):
+                raise ParseError(f"{path}:{lineno}: sample {row[0]!r} is not finite")
+            values.append(value)
     data = np.asarray(values, dtype=np.float64)
     if data.size == 0 or data.size & (data.size - 1):
         raise ParseError(f"{path}: sample count {data.size} is not a power of two")

@@ -282,7 +282,7 @@ def test_08_water_toy():
         previous = ground
 
     table9 = molham.strategy_cost(
-        molham.water_spec(n_r=32, n_theta=64),
+        molham.water_hamiltonian(molham.water_spec(n_r=32, n_theta=64)),
         molham.Strategy.FBR_DVR,
         molham.Backend.SELECT_SWAP,
     )

@@ -7,6 +7,7 @@ from whqrom.baseline import (
     INFINITY_SENTINEL,
     SelectSwapModel,
     compare,
+    optimal_lookup,
     optimize_lambda,
     optimize_lambda_pow2,
     selectswap_cost,
@@ -80,13 +81,23 @@ class TestOptimizeLambda:
         assert lam == 1
 
     def test_windowed_scan_matches_wide_scan(self):
-        # eta = 17 takes the windowed path; compare to an explicit wide scan
+        # a large table, against an explicit scan far wider than the window
         eta, d = 17, 15
         lam, report = optimize_lambda(eta, d)
         wide = min(
             (math.ceil((1 << eta) / l) + 2 * d * l, l) for l in range(1, 1 << 12)
         )
         assert (report.toffoli_count, lam) == wide
+
+    def test_lookup_off_powers_of_two_matches_exhaustive_scan(self):
+        for n in list(range(2, 300)) + [3 << 10, 5000]:
+            top = 1 << (n - 1).bit_length()
+            for d in (1, 5, 15, 90):
+                lam, toffoli, depth, ancillas = optimal_lookup(n, d)
+                best = min((math.ceil(n / l) + 2 * d * l, l) for l in range(1, top + 1))
+                assert (toffoli, lam) == best
+                assert depth == math.ceil(n / lam + math.log2(lam))
+                assert ancillas == lam * d + (n - 1).bit_length()
 
     def test_pow2_ge_integer_optimum(self):
         for eta, d in ((8, 7), (10, 15), (12, 33)):

@@ -66,6 +66,10 @@ class TestDsparseStandard:
         result = dsparse_standard(SparseOracle.from_dense(m, rho=2))
         assert result.residual < 1e-10
 
+    def test_rho_above_dimension(self):
+        with pytest.raises(RangeError, match="exceeds the dimension"):
+            SparseOracle.from_dense(np.eye(2), rho=3)
+
     def test_zero_matrix_degenerate(self):
         with pytest.raises(RangeError):
             dsparse_standard(SparseOracle.from_dense(np.zeros((4, 4)), rho=1))

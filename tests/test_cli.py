@@ -63,6 +63,17 @@ class TestWhtAnalyze:
         bad.write_text("0.5\nnope\n")
         assert run(tmp_path, "wht-analyze", "--input", str(bad)) == 3
 
+    def test_non_finite_sample_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "nan.csv"
+        bad.write_text("0.5\nnan\n")
+        assert run(tmp_path, "wht-analyze", "--input", str(bad)) == 3
+        assert capsys.readouterr().err == f"parse error: {bad}:2: sample 'nan' is not finite\n"
+
+    def test_eta_above_limit_is_config_error(self, tmp_path, capsys):
+        assert run(tmp_path, "wht-analyze", "--eta", "62", "--digits", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: eta = 62") and err.count("\n") == 1
+
 
 class TestQromSynth:
     def test_writes_circuit_and_cost(self, tmp_path):
@@ -121,6 +132,12 @@ class TestDvrCheck:
     def test_bad_segment_is_config_error(self, tmp_path):
         assert run(tmp_path, "dvr-check", "--n", "12", "--segment", "8") == 2
 
+    def test_creates_fresh_out_directory(self, tmp_path):
+        out = tmp_path / "new" / "dir"
+        assert main(["--out", str(out), "dvr-check", "--n", "8"]) == 0
+        assert np.loadtxt(out / "t_matrix.csv", delimiter=",").shape == (8, 8)
+        assert (out / "dvr_check.json").exists()
+
 
 class TestBlockencVerify:
     def test_random_rounds(self, tmp_path):
@@ -130,6 +147,11 @@ class TestBlockencVerify:
         assert report["worstResidual"] < 1e-9
         names = {r["construction"] for r in report["records"]}
         assert "dsparse_standard" in names and "symmetry_swap" in names
+
+    def test_dimension_below_tridiagonal_width_is_config_error(self, tmp_path, capsys):
+        assert run(tmp_path, "blockenc-verify", "--dim", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: declared rho = 3") and err.count("\n") == 1
 
     def test_coo_input(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -146,6 +168,20 @@ class TestMolham:
         assert len(report["eigenvaluesCm"]) == 8
         assert report["strategies"][0]["strategy"] == "FBR_DVR"
         assert report["strategies"][0]["qpe"]["tCount"] > 0
+
+    def test_one_system_build_per_request(self, tmp_path, monkeypatch):
+        from whqrom import molham
+
+        builds = []
+        build = molham.water_hamiltonian
+
+        def counting(*args, **kwargs):
+            builds.append(args)
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(molham, "water_hamiltonian", counting)
+        assert run(tmp_path, "molham") == 0
+        assert len(builds) == 1
 
     def test_config_error_field_path(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

@@ -186,24 +186,24 @@ class TestNormEstimates:
         assert norms["jxy"] == pytest.approx(2.0 * float(np.max(np.abs(jx))))
         assert norms["jxy"] >= float(np.linalg.norm(jx, 2))
 
-    def test_zeta_dominates_spectral_radius(self, small_water, small_system):
+    def test_zeta_dominates_spectral_radius(self, small_system):
         radius = float(np.max(np.abs(small_system.eigenvalues())))
         for strategy in Strategy.ALL:
-            estimate = norm_estimates(small_water, strategy)
+            estimate = norm_estimates(small_system, strategy)
             assert estimate.total_au >= radius
 
-    def test_lcu_bracket_orders(self, small_water):
-        est = norm_estimates(small_water, Strategy.LCU_FBR)
+    def test_lcu_bracket_orders(self, small_system):
+        est = norm_estimates(small_system, Strategy.LCU_FBR)
         assert est.zeta_low_au <= est.total_au <= est.zeta_high_au
 
-    def test_cm_conversion(self, small_water):
-        est = norm_estimates(small_water, Strategy.FBR_DVR)
+    def test_cm_conversion(self, small_system):
+        est = norm_estimates(small_system, Strategy.FBR_DVR)
         assert est.total_cm == pytest.approx(est.total_au * 219474.6313632)
 
-    def test_total_is_count_weighted_term_sum(self, small_water):
+    def test_total_is_count_weighted_term_sum(self, small_system):
         # the exchange-reduced strategies double the H_eff term sum
         for strategy in (Strategy.FBR_DVR, Strategy.SEPARATE_DVR):
-            est = norm_estimates(small_water, strategy)
+            est = norm_estimates(small_system, strategy)
             weighted = sum(z * c for _, z, c in est.terms)
             assert est.total_au == pytest.approx(2.0 * weighted)
 
@@ -212,15 +212,15 @@ class TestStrategyCost:
     def test_water_table_reproduction_band(self):
         # reference point: T-count 4.5e5, ancillas 4e3 for n_theta = 2**6,
         # n_R = 2**5; reproduced within a factor of 4 with swept lambda
-        spec = water_spec(n_r=32, n_theta=64)
-        sc = strategy_cost(spec, Strategy.FBR_DVR, Backend.SELECT_SWAP)
+        system = water_hamiltonian(water_spec(n_r=32, n_theta=64))
+        sc = strategy_cost(system, Strategy.FBR_DVR, Backend.SELECT_SWAP)
         assert 4.5e5 / 4 <= sc.report.t_count <= 4.5e5 * 4
         assert 4e3 / 4 <= sc.report.qubit_count <= 4e3 * 4
 
     def test_strategy_ordering_at_scale(self):
-        spec = water_spec(n_r=32, n_theta=64)
+        system = water_hamiltonian(water_spec(n_r=32, n_theta=64))
         costs = {
-            s: strategy_cost(spec, s, Backend.SELECT_SWAP).report.t_count
+            s: strategy_cost(system, s, Backend.SELECT_SWAP).report.t_count
             for s in Strategy.ALL
         }
         assert costs[Strategy.FBR_DVR] < costs[Strategy.SEPARATE_DVR]
@@ -232,11 +232,13 @@ class TestStrategyCost:
         # Pauli decompositions win below n ~ 100; the asymptotic ordering
         # flips at the observed crossover and stays flipped
         def costs(n):
-            spec = ToyMoleculeSpec(
-                basis_sizes=(n,), masses_da=(1.0,), freqs_cm=(2000.0,), r0_angstrom=3.0
+            system = water_hamiltonian(
+                ToyMoleculeSpec(
+                    basis_sizes=(n,), masses_da=(1.0,), freqs_cm=(2000.0,), r0_angstrom=3.0
+                )
             )
-            lcu = strategy_cost(spec, Strategy.LCU_FBR, Backend.SELECT_SWAP)
-            fd = strategy_cost(spec, Strategy.FBR_DVR, Backend.SELECT_SWAP)
+            lcu = strategy_cost(system, Strategy.LCU_FBR, Backend.SELECT_SWAP)
+            fd = strategy_cost(system, Strategy.FBR_DVR, Backend.SELECT_SWAP)
             return lcu.report.t_count, fd.report.t_count
 
         lcu_small, fd_small = costs(16)
@@ -245,24 +247,24 @@ class TestStrategyCost:
             lcu_big, fd_big = costs(n)
             assert fd_big < lcu_big
 
-    def test_wh_backend_runs_and_reports(self, small_water):
-        sc = strategy_cost(small_water, Strategy.FBR_DVR, Backend.WH)
+    def test_wh_backend_runs_and_reports(self, small_system):
+        sc = strategy_cost(small_system, Strategy.FBR_DVR, Backend.WH)
         assert sc.report.t_count > 0
         assert sc.backend == Backend.WH
         names = [n for n, _, _ in sc.breakdown]
         assert "pes" in names and "dvr_transform_x2" in names
 
-    def test_json_round_trip(self, small_water):
-        sc = strategy_cost(small_water, Strategy.SEPARATE_DVR)
+    def test_json_round_trip(self, small_system):
+        sc = strategy_cost(small_system, Strategy.SEPARATE_DVR)
         data = sc.to_json_dict()
         assert data["report"]["tCount"] == sc.report.t_count
         assert data["zetaCm"] == pytest.approx(sc.zeta_au * 219474.6313632)
 
-    def test_rotational_rows_appear_for_excited_j(self, small_water):
+    def test_rotational_rows_appear_for_excited_j(self, small_water, small_system):
         import dataclasses
 
-        excited = dataclasses.replace(small_water, j_total=20)
-        sc0 = strategy_cost(small_water, Strategy.FBR_DVR)
+        excited = water_hamiltonian(dataclasses.replace(small_water, j_total=20))
+        sc0 = strategy_cost(small_system, Strategy.FBR_DVR)
         scj = strategy_cost(excited, Strategy.FBR_DVR)
         names = [n for n, _, _ in scj.breakdown]
         assert "jz_x2" in names and "jxy_x4" in names

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 
-from whqrom.errors import ConfigError, RangeError
+from whqrom.errors import ConfigError, RangeError, ScaleError
 from whqrom.molham import discretization_bound_check
 from whqrom.synthetic import (
+    MAX_ETA,
     gaussian_wells,
     grid_coordinates,
     make_pes,
@@ -28,6 +29,12 @@ class TestGrid:
     def test_bad_split(self):
         with pytest.raises(RangeError):
             grid_coordinates(2, 3)
+
+    def test_eta_limit_checked_before_allocation(self):
+        # 2**62 points could never be allocated: the guard must fire first
+        for eta in (MAX_ETA + 1, 62):
+            with pytest.raises(ScaleError, match="MAX_ETA"):
+                grid_coordinates(eta, 2)
 
 
 class TestGenerators:

@@ -280,6 +280,19 @@ class TestMinimalTruncation:
         full = TruncatedSpectrum(base=trunc.base, k=f.n, order=trunc.order)
         assert full.error(f) == 0.0
 
+    def test_tie_break_smaller_mask_first(self):
+        eta, d, m = 3, 6, 4
+        x = np.arange(1 << eta, dtype=np.uint64)
+        ch = lambda z: 1 - 2 * (np.bitwise_count(x & np.uint64(z)) & 1).astype(np.int64)
+        f = SampledFunction(eta=eta, d=d, values=m * ch(0b110) + m * ch(0b011))
+        trunc = minimal_truncation(f, epsilon=1e-30)
+        assert trunc.order[0] == 0b011  # equal magnitude, smaller mask first
+
+    def test_epsilon_validation(self):
+        f = SampledFunction(eta=2, d=4, values=np.zeros(4, dtype=np.int64))
+        with pytest.raises(RangeError):
+            minimal_truncation(f, epsilon=0.0)
+
 
 @settings(max_examples=30, deadline=None)
 @given(
@@ -299,31 +312,6 @@ def test_truncation_retains_largest_magnitudes(eta, d, seed, frac):
     dropped = [coeffs[z] for z in clipped.order[k:]]
     if retained and dropped:
         assert min(retained) >= max(dropped)
-
-    def test_accelerated_agrees_on_seeded_cases(self):
-        rng = np.random.default_rng(37)
-        for _ in range(8):
-            eta = int(rng.integers(2, 7))
-            d = int(rng.integers(3, 8))
-            f = random_function(rng, eta, d)
-            eps = float(2.0 ** -rng.integers(2, 8))
-            assert (
-                minimal_truncation(f, eps, accelerated=True).k
-                == minimal_truncation(f, eps).k
-            )
-
-    def test_tie_break_smaller_mask_first(self):
-        eta, d, m = 3, 6, 4
-        x = np.arange(1 << eta, dtype=np.uint64)
-        ch = lambda z: 1 - 2 * (np.bitwise_count(x & np.uint64(z)) & 1).astype(np.int64)
-        f = SampledFunction(eta=eta, d=d, values=m * ch(0b110) + m * ch(0b011))
-        trunc = minimal_truncation(f, epsilon=1e-30)
-        assert trunc.order[0] == 0b011  # equal magnitude, smaller mask first
-
-    def test_epsilon_validation(self):
-        f = SampledFunction(eta=2, d=4, values=np.zeros(4, dtype=np.int64))
-        with pytest.raises(RangeError):
-            minimal_truncation(f, epsilon=0.0)
 
 
 class TestFileIngestion:
@@ -356,6 +344,18 @@ class TestFileIngestion:
         path.write_text("0.5\nnot-a-number\n")
         with pytest.raises(ParseError, match=":2"):
             read_theta_csv(path)
+
+    def test_csv_non_finite_sample_carries_line(self, tmp_path):
+        path = tmp_path / "nan.csv"
+        path.write_text("0.5\n0.25\nnan\n0.0\n")
+        with pytest.raises(ParseError, match=":3: sample 'nan' is not finite"):
+            read_theta_csv(path)
+
+    def test_binary_non_finite_sample_carries_index(self, tmp_path):
+        path = tmp_path / "inf.f64"
+        path.write_bytes(np.array([0.5, 0.0, -np.inf, 0.1]).astype("<f8").tobytes())
+        with pytest.raises(ParseError, match="sample 2 is not finite"):
+            read_theta_binary(path)
 
     def test_binary_length_validation(self, tmp_path):
         path = tmp_path / "bad.f64"
