@@ -61,7 +61,7 @@ for kind, n, segment in (("legendre", 16, 4), ("hermite", 32, 8)):
 print("\n== lookup-oracle cost formula ==")
 
 
-def stub(n_entries, d):
+def stub(i, n_entries, d):
     from whqrom.qrom import CostReport
 
     return CostReport.assemble(4 * (n_entries + d), 0, 0, 1, 0)

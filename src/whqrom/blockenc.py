@@ -730,9 +730,13 @@ def read_coo_csv(path, n: int | None = None) -> np.ndarray:
                 entries.append((int(row[0]), int(row[1]), float(row[2])))
             except ValueError as exc:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
+            if not math.isfinite(entries[-1][2]):
+                raise ParseError(f"{path}:{lineno}: value {row[2]!r} is not finite")
     if not entries:
         raise ParseError(f"{path}: no entries")
     size = n if n is not None else max(max(r, c) for r, c, _ in entries) + 1
+    if size > 1 << MAX_DENSE_QUBITS:
+        raise ScaleError(f"{path}: dimension {size} exceeds 2**{MAX_DENSE_QUBITS}")
     out = np.zeros((size, size))
     for r, c, v in entries:
         if not (0 <= r < size and 0 <= c < size):

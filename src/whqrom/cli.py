@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import baseline, blockenc, dvr, molham, qrom, synthetic, wht
-from .errors import ConfigError, ParseError, ToleranceError, WhqromError
+from .errors import ConfigError, ParseError, RangeError, ToleranceError, WhqromError
 
 __all__ = ["main", "build_parser"]
 
@@ -228,6 +228,8 @@ def cmd_blockenc_verify(args) -> dict:
             result = build(oracle)
             records.append({"construction": name, **result.to_json_dict()})
     else:
+        if args.count < 1:
+            raise ConfigError(f"--count must be at least 1, got {args.count}")
         for _ in range(args.count):
             records.extend(_random_blockenc_round(rng, args.dim))
     worst = max(r["residual"] for r in records)
@@ -239,10 +241,17 @@ def cmd_blockenc_verify(args) -> dict:
     }
 
 
+#: System sizes a random block-encoding round draws from (at most --dim).
+BLOCKENC_SIZES = (4, 8, 16)
+
+
 def _random_blockenc_round(rng, max_dim: int) -> list:
     """One verified instance of each construction at a random small size."""
+    sizes = [n for n in BLOCKENC_SIZES if n <= max_dim]
+    if not sizes:
+        raise RangeError(f"--dim must be at least {BLOCKENC_SIZES[0]}, got {max_dim}")
     out = []
-    n = int(rng.choice([4, 8, min(16, max_dim)]))
+    n = int(rng.choice(sizes))
     diag_vals = rng.uniform(-1, 1, size=n)
     part = blockenc.dsparse_fused_diagonal(diag_vals)
     out.append({"construction": "dsparse_fused_diagonal", **part.to_json_dict()})
@@ -296,6 +305,8 @@ def _sweep_job(task) -> tuple:
 
 
 def cmd_molham(args) -> dict:
+    if args.levels < 1:
+        raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     if args.config:
         spec = _load_spec(args.config)
     else:
@@ -491,6 +502,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         payload = args.func(args)
         if args.lam is not None and args.report == "compare":
             payload["pinnedLambda"] = _pinned_lambda(args)

@@ -304,17 +304,18 @@ def dvr_oracle_cost(ns, d: int, qrom_coster) -> CostReport:
     """Cost of the DVR transformation unitary over D coordinates.
 
     Evaluates 2 * sum_i floor(pi sqrt(n_i) / 4) * C_Q(n_i**2, d) where the
-    pluggable qrom_coster(N, d) -> CostReport prices loading N table entries
-    of d bits (SELECT-SWAP model, WH synthesis, or a stub).  Gate counts
-    add; the qubit count is the widest single lookup.
+    pluggable qrom_coster(i, N, d) -> CostReport prices loading the N table
+    entries of d bits of coordinate i (SELECT-SWAP model, WH synthesis of
+    that coordinate's own table, or a stub).  Gate counts add; the qubit
+    count is the widest single lookup.
     """
     t = cnot = clifford = t_depth = 0
     qubits = 0
-    for n_i in ns:
+    for i, n_i in enumerate(ns):
         if n_i < 1:
             raise RangeError(f"basis size must be positive, got {n_i}")
         reps = 2 * math.floor(math.pi * math.sqrt(n_i) / 4.0)
-        sub = qrom_coster(n_i * n_i, d)
+        sub = qrom_coster(i, n_i * n_i, d)
         t += reps * sub.t_count
         cnot += reps * sub.cnot_count
         clifford += reps * sub.clifford_count

@@ -192,7 +192,9 @@ def spec_from_dict(data: dict) -> ToyMoleculeSpec:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         return ToyMoleculeSpec(**data)
-    except TypeError as exc:
+    except ConfigError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
 
 
@@ -914,7 +916,7 @@ def strategy_cost(
             ]
         else:
             calls = [
-                (f"momentum_r{i + 1}", 2, 2 * n, _data(system, "p_radial"))
+                (f"momentum_r{i + 1}", 2, 2 * n, _data(system, "p_radial", i))
                 for i, n in enumerate(spec.basis_sizes)
             ]
             calls.append(("pes", 1, n_grid, _data(system, "pes")))
@@ -923,8 +925,8 @@ def strategy_cost(
             book(name, count * t, count * depth, anc)
         tables = _arcsin_tables(system)
 
-        def coster(n_entries: int, d: int) -> CostReport:
-            t, depth, anc = be.c_q(n_entries, d, tables.get(n_entries))
+        def coster(i: int, n_entries: int, d: int) -> CostReport:
+            t, depth, anc = be.c_q(n_entries, d, tables[i])
             return CostReport.assemble(t, 0, 0, anc, depth)
 
         dvr_report = dvr_oracle_cost(spec.basis_sizes, TABLE_BITS, coster)
@@ -951,8 +953,9 @@ def strategy_cost(
     )
 
 
-def _data(system: WaterSystem, which: str):
-    """Representative diagonal tables for the WH backend."""
+def _data(system: WaterSystem, which: str, mode: int = 0):
+    """Representative diagonal tables for the WH backend; the radial tables
+    ("inv_r", "p_radial") are those of radial mode ``mode``."""
     modes = system.modes
     if which == "pes":
         return system.pes_grid()
@@ -960,9 +963,9 @@ def _data(system: WaterSystem, which: str):
         bend = modes[-1]
         return np.sqrt(1.0 - bend.u_nodes**2)
     if which == "inv_r":
-        return 1.0 / modes[0].nodes_r
+        return 1.0 / modes[mode].nodes_r
     if which == "p_radial":
-        c = modes[0].c_fbr
+        c = modes[mode].c_fbr
         vals = np.abs(c[np.nonzero(c)])
         return np.arccos(np.sqrt(vals / vals.max())) / math.pi
     if which == "p_bend":
@@ -972,13 +975,9 @@ def _data(system: WaterSystem, which: str):
     raise ConfigError(f"unknown data table {which!r}")
 
 
-def _arcsin_tables(system: WaterSystem) -> dict:
-    """arcsin(T)/pi column tables for the DVR oracle, keyed by n**2."""
-    out = {}
-    for mode in system.modes:
-        t = mode.t
-        out[t.shape[0] ** 2] = np.arcsin(np.clip(t, -1, 1)).reshape(-1) / math.pi
-    return out
+def _arcsin_tables(system: WaterSystem) -> list:
+    """arcsin(T)/pi column tables for the DVR oracle, one per mode."""
+    return [np.arcsin(np.clip(mode.t, -1, 1)).reshape(-1) / math.pi for mode in system.modes]
 
 
 # ---------------------------------------------------------------------------
@@ -1028,6 +1027,12 @@ def fit_scaling(samples: Sequence) -> FitResult:
     three rows spanning two distinct eta and epsilon values.
     """
     rows = [(float(e), float(eps), float(tau)) for e, eps, tau in samples]
+    for i, (e, eps, tau) in enumerate(rows):
+        if not (math.isfinite(e) and 0 < eps < 1 and 0 < tau < math.inf):
+            raise FitError(
+                f"sample {i} (eta={e}, epsilon={eps}, tau={tau}): need finite eta, "
+                f"0 < epsilon < 1 and finite tau > 0"
+            )
     if len(rows) < 3:
         raise FitError(f"need >= 3 samples, got {len(rows)}")
     etas = {r[0] for r in rows}

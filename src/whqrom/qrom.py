@@ -710,9 +710,10 @@ def synthesize_split(
     order = spec.order
 
     def restrict(masks):
-        keep = [z for z in order if z in set(masks)]
-        rest = [z for z in order if z not in set(masks)]
-        return TruncatedSpectrum(base=spec.base, k=len(masks), order=tuple(keep + rest))
+        chosen = np.isin(order, masks)
+        return TruncatedSpectrum(
+            base=spec.base, k=len(masks), order=np.concatenate((order[chosen], order[~chosen]))
+        )
 
     return SplitQrom(
         first=synthesize(restrict(half1), ordering),

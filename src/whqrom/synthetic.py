@@ -157,6 +157,8 @@ PES_GENERATORS = {
 
 
 def make_pes(name: str, dims: int, **kwargs) -> SyntheticPes:
+    if dims < 1:
+        raise RangeError(f"a surface needs at least one dimension, got dims = {dims}")
     try:
         gen = PES_GENERATORS[name]
     except KeyError as exc:

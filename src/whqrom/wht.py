@@ -15,6 +15,15 @@ and g is
 
 and ``minimal_truncation`` finds the smallest k whose surrogate beats a
 requested error bound.
+
+That search skips ahead exactly.  The state 2**eta * (f - g_k) mod 2**b
+(b = eta + d) moves at every address by exactly +/-|c| when the next
+coefficient c is retained, and an address passes only inside two arcs of
+half-width delta = 2**b asin(epsilon/2) / (2 pi) around 0 and 2**(b-1).
+An address at distance D from those arcs therefore keeps failing until
+the retained magnitudes add up to D, so every k before that point is
+skipped without being evaluated; only the k where the skip lands are
+tested, with the same exact test the linear scan runs.
 """
 
 from __future__ import annotations
@@ -128,18 +137,24 @@ class WalshSpectrum:
 class TruncatedSpectrum:
     """A spectrum restricted to its k largest-magnitude masks.
 
-    ``order`` lists all masks sorted by (-|coeff|, z); ``support`` is the
-    first k of them.  Ties in magnitude are broken toward the smaller mask
-    so repeated runs synthesize identical circuits.
+    ``order`` is a read-only int64 array listing all masks sorted by
+    (-|coeff|, z); ``support`` is the first k of them.  Ties in magnitude
+    are broken toward the smaller mask so repeated runs synthesize
+    identical circuits.
     """
 
     base: WalshSpectrum
     k: int
-    order: tuple = field(repr=False)
+    order: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        if not 0 <= self.k <= len(self.order):
-            raise RangeError(f"k = {self.k} outside [0, {len(self.order)}]")
+        order = np.asarray(self.order, dtype=np.int64)
+        order.setflags(write=False)
+        object.__setattr__(self, "order", order)
+        if order.ndim != 1:
+            raise ShapeError(f"expected a 1-D mask order, got shape {order.shape}")
+        if not 0 <= self.k <= order.shape[0]:
+            raise RangeError(f"k = {self.k} outside [0, {order.shape[0]}]")
 
     @property
     def eta(self) -> int:
@@ -147,19 +162,18 @@ class TruncatedSpectrum:
 
     @property
     def support(self) -> frozenset:
-        return frozenset(self.order[: self.k])
+        return frozenset(self.order[: self.k].tolist())
 
     def support_coeffs(self) -> list[tuple[int, int]]:
         """Retained (mask, coefficient) pairs in truncation order."""
-        c = self.base.coeffs
-        return [(int(z), int(c[z])) for z in self.order[: self.k]]
+        idx = self.order[: self.k]
+        return list(zip(idx.tolist(), self.base.coeffs[idx].tolist()))
 
     def masked_coeffs(self) -> np.ndarray:
         """Full-length coefficient vector with dropped masks zeroed."""
         out = np.zeros_like(self.base.coeffs)
-        if self.k:
-            idx = np.fromiter(self.order[: self.k], dtype=np.int64, count=self.k)
-            out[idx] = self.base.coeffs[idx]
+        idx = self.order[: self.k]
+        out[idx] = self.base.coeffs[idx]
         return out
 
     def reconstruction_numerators(self) -> np.ndarray:
@@ -297,27 +311,68 @@ class _IncrementalScan:
 def minimal_truncation(f: SampledFunction, epsilon: float) -> TruncatedSpectrum:
     """Smallest-k truncation whose reconstruction beats epsilon.
 
-    Scans k = 0, 1, 2, ... in the deterministic magnitude order and stops at
-    the first k with ``diag_error(f, g_k) < epsilon``.  Once every nonzero
-    coefficient is retained the error is exactly zero, so the scan always
-    terminates.
+    Returns the first k, in the deterministic magnitude order, with
+    ``diag_error(f, g_k) < epsilon``: the k a linear scan over k = 0, 1, 2,
+    ... returns (``truncation_error_curve`` is that scan).  Once every
+    nonzero coefficient is retained the error is exactly zero, so the
+    search always terminates.
+
+    The search tests only the k it lands on and skips the rest.  Retaining
+    coefficient c moves every numerator 2**eta (f - g_k)(x) mod 2**b by
+    exactly +/-|c|, and ``2 |sin(2 pi num / 2**b)| < epsilon`` holds only
+    within delta = 2**b asin(epsilon/2) / (2 pi) of 0 or 2**(b-1); for
+    epsilon >= 2 the arcs cover the whole circle and nothing is skipped.
+    If the farthest address lies D_max beyond those arcs, it fails at every
+    k until the magnitudes retained from here on add up to D_max, so the
+    next k worth testing is found by one ``searchsorted`` on the cumulative
+    magnitudes.  The skip is exact: D_max is integer arithmetic; delta is
+    taken for epsilon/2 raised by a few ulps, which covers the rounding of
+    the float sine test; and the float64 cumulative sums are held to a
+    margin of 2 + 1e-9 2**b plus their own worst-case rounding.  A landing
+    far ahead (more than 2 eta steps) rebuilds the state with one butterfly
+    of the masked spectrum; a nearer one steps there incrementally.
     """
     if not epsilon > 0:
         raise RangeError(f"epsilon must be positive, got {epsilon}")
     spectrum = wht_forward(f)
-    order = _truncation_order(spectrum.coeffs)
-    nonzero = int(np.count_nonzero(spectrum.coeffs))
-    order_tuple = tuple(int(z) for z in order)
+    coeffs = spectrum.coeffs
+    order = _truncation_order(coeffs)
+    nonzero = int(np.count_nonzero(coeffs))
+    scan = _IncrementalScan(f, coeffs, order)
+    period = scan.period
+    quarter = period >> 2
+    cum = np.zeros(nonzero + 1)
+    np.cumsum(np.abs(coeffs[order[:nonzero]]), dtype=np.float64, out=cum[1:])
+    half_width = period * math.asin(min(1.0, epsilon / 2 + 2.0**-50)) / (2 * math.pi)
+    margin = 2.0 + 1e-9 * period + 2.0**-52 * nonzero * cum[-1]
+    dist = np.empty_like(scan.num)
+    while scan.error() >= epsilon:
+        # |num mod 2**(b-1) - 2**(b-2)| is how far an address sits from the
+        # point midway between the arc centres, so the farthest address sits
+        # quarter - min(dist) from its nearer centre
+        np.bitwise_and(scan.num, (period >> 1) - 1, out=dist)
+        np.subtract(dist, quarter, out=dist)
+        np.abs(dist, out=dist)
+        reach = quarter - int(dist.min()) - half_width - margin
+        land = int(np.searchsorted(cum, cum[scan.k] + reach, side="left"))
+        land = min(nonzero, max(scan.k + 1, land))
+        if land - scan.k > 2 * f.eta:
+            _rebuild(scan, spectrum, land)
+        else:
+            while scan.k < land:
+                scan.advance()
+    return TruncatedSpectrum(base=spectrum, k=scan.k, order=order)
 
-    def make(k: int) -> TruncatedSpectrum:
-        return TruncatedSpectrum(base=spectrum, k=k, order=order_tuple)
 
-    scan = _IncrementalScan(f, spectrum.coeffs, order)
-    while scan.k <= nonzero:
-        if scan.error() < epsilon:
-            return make(scan.k)
-        scan.advance()
-    return make(nonzero)
+def _rebuild(scan: _IncrementalScan, spectrum: WalshSpectrum, k: int) -> None:
+    """Jump the scan to k with one butterfly of the k-term masked spectrum."""
+    f = scan.f
+    scan.num = None  # free the old state before the butterfly's buffers
+    num = TruncatedSpectrum(base=spectrum, k=k, order=scan.order).reconstruction_numerators()
+    np.subtract(f.values * (1 << f.eta), num, out=num)
+    np.mod(num, scan.period, out=num)
+    scan.num = num
+    scan.k = k
 
 
 def truncation_error_curve(f: SampledFunction, upto: int | None = None) -> np.ndarray:

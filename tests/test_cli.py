@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from whqrom.cli import main
 from whqrom.wht import quantize
@@ -151,7 +152,23 @@ class TestBlockencVerify:
     def test_dimension_below_tridiagonal_width_is_config_error(self, tmp_path, capsys):
         assert run(tmp_path, "blockenc-verify", "--dim", "2") == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error: declared rho = 3") and err.count("\n") == 1
+        assert err.startswith("config error: --dim must be at least 4") and err.count("\n") == 1
+
+    def test_dim_bounds_every_system_size(self, tmp_path, capsys):
+        for seed in range(6):
+            for dim in (2, 3):
+                assert run(tmp_path, "--seed", str(seed), "blockenc-verify", "--dim", str(dim)) == 2
+                assert capsys.readouterr().err.startswith("config error: --dim must be at least 4")
+            for dim in (4, 8, 9):
+                code = run(tmp_path, "--seed", str(seed), "blockenc-verify", "--dim", str(dim))
+                assert code == 0
+                report = json.loads((tmp_path / "blockenc_verify.json").read_text())
+                sizes = {
+                    r["dimension"]
+                    for r in report["records"]
+                    if r["construction"] == "dsparse_fused_diagonal"
+                }
+                assert sizes and max(sizes) <= dim
 
     def test_coo_input(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -213,6 +230,32 @@ class TestMolham:
         assert code == 0
         fit = json.loads((tmp_path / "fit_scaling.json").read_text())
         assert 0 <= fit["fit"]["c1"] < 1
+
+
+class TestFailureContract:
+    """Defects the CLI fuzz test found, each pinned to its exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, file, code",
+        [
+            (["--seed", "-1", "blockenc-verify"], None, 2),
+            (["blockenc-verify", "--count", "0"], None, 2),
+            (["blockenc-verify", "--input", "{f}"], "0,0,nan\n", 3),
+            (["blockenc-verify", "--input", "{f}"], "0,0,1\n1000000,0,1\n", 2),
+            (["molham", "--levels", "0"], None, 2),
+            (["molham", "--config", "{f}"], "basis_sizes: oops\nmasses_da: [1]\nfreqs_cm: [1]\n", 2),
+            (["molham", "--strategy", "LCU_FBR", "--sweep", "4", "--dims", "-1"], None, 2),
+            (["fit-scaling", "--input", "{f}"], "eta,epsilon,tau\n2,0.5,0\n4,0.1,1\n6,0.01,2\n", 2),
+            (["fit-scaling", "--input", "{f}"], "eta,epsilon,tau\n2,nan,1\n4,0.1,1\n6,0.01,2\n", 2),
+        ],
+    )
+    def test_malformed_input_exits_cleanly(self, tmp_path, capsys, argv, file, code):
+        path = tmp_path / "input.txt"
+        if file is not None:
+            path.write_text(file)
+        assert run(tmp_path, *[a.replace("{f}", str(path)) for a in argv]) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
 
 
 class TestDeterminism:

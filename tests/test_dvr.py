@@ -205,7 +205,7 @@ class TestSchroedingerEquivalence:
 
 class TestOracleCost:
     def test_stub_coster_formula(self):
-        def stub(n, d):
+        def stub(i, n, d):
             t = 4 * (n + d)
             return CostReport.assemble(t, 0, 0, 1, 0)
 
@@ -214,13 +214,13 @@ class TestOracleCost:
         assert report.t_count == 4 * 1584
 
     def test_empty_modes(self):
-        def stub(n, d):
+        def stub(i, n, d):
             return CostReport.assemble(4, 0, 0, 1, 0)
 
         assert dvr_oracle_cost([], d=8, qrom_coster=stub).t_count == 0
 
     def test_linear_in_mode_count(self):
-        def stub(n, d):
+        def stub(i, n, d):
             return CostReport.assemble(4 * n, n, n, n, n)
 
         one = dvr_oracle_cost([16], d=8, qrom_coster=stub)

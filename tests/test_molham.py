@@ -254,6 +254,38 @@ class TestStrategyCost:
         names = [n for n, _, _ in sc.breakdown]
         assert "pes" in names and "dvr_transform_x2" in names
 
+    def test_wh_dvr_transform_prices_each_mode_table(self, small_system):
+        # at 8x8x8 the two Hermite transforms and the Legendre one share n**2;
+        # each mode's lookup must still be priced on its own arcsin(T) table
+        from whqrom.molham import _WhBackend
+
+        sc = strategy_cost(small_system, Strategy.FBR_DVR, Backend.WH)
+        expected = 0
+        for mode in small_system.modes:
+            table = np.arcsin(np.clip(mode.t, -1, 1)).reshape(-1) / math.pi
+            reps = 2 * math.floor(math.pi * math.sqrt(mode.n) / 4.0)
+            expected += reps * _WhBackend._wh_cost(table)[0]
+        booked = dict((name, t) for name, t, _ in sc.breakdown)
+        assert booked["dvr_transform_x2"] == 2 * expected
+
+    def test_wh_radial_momentum_uses_its_own_mode(self):
+        from whqrom.molham import _WhBackend
+
+        system = water_hamiltonian(
+            ToyMoleculeSpec(
+                basis_sizes=(8, 16),
+                masses_da=(1.0, 1.0),
+                freqs_cm=(2000.0, 2000.0),
+                r0_angstrom=3.0,
+            )
+        )
+        sc = strategy_cost(system, Strategy.FBR_DVR, Backend.WH)
+        booked = dict((name, t) for name, t, _ in sc.breakdown)
+        for i, mode in enumerate(system.modes):
+            vals = np.abs(mode.c_fbr[np.nonzero(mode.c_fbr)])
+            table = np.arccos(np.sqrt(vals / vals.max())) / math.pi
+            assert booked[f"momentum_r{i + 1}"] == 2 * _WhBackend._wh_cost(table)[0]
+
     def test_json_round_trip(self, small_system):
         sc = strategy_cost(small_system, Strategy.SEPARATE_DVR)
         data = sc.to_json_dict()

@@ -294,6 +294,74 @@ class TestMinimalTruncation:
             minimal_truncation(f, epsilon=0.0)
 
 
+def _hard_table(kind, rng, eta, d):
+    """Tables that stress the skip-ahead search of minimal_truncation."""
+    n, half = 1 << eta, 1 << (d - 1)
+    noise = rng.integers(-2, 3, size=n)
+    if kind == "uniform":
+        values = rng.integers(-half, half, size=n)
+    elif kind == "quarter":
+        # numerators near +/- 2**(b-2): as far from both pass arcs as possible
+        values = rng.choice([-(half >> 1), half >> 1], size=n) + noise
+    elif kind == "half":
+        # numerators near the half-period arc, wrapping across -2**(b-1)
+        values = rng.choice([-half, half - 1], size=n) + noise
+    else:  # "ties": equal-magnitude characters, broken only by the mask order
+        x = np.arange(n, dtype=np.uint64)
+        values = np.zeros(n, dtype=np.int64)
+        m = int(rng.integers(1, max(2, half // 4)))
+        for z in rng.integers(0, n, size=int(rng.integers(1, 5))):
+            values += m * (1 - 2 * (np.bitwise_count(x & np.uint64(z)).astype(np.int64) & 1))
+    return SampledFunction(eta=eta, d=d, values=np.clip(values, -half, half - 1))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eta=st.integers(min_value=1, max_value=10),
+    d=st.integers(min_value=2, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**31),
+    kind=st.sampled_from(["uniform", "quarter", "half", "ties"]),
+    epsilon=st.one_of(
+        st.integers(min_value=1, max_value=14).map(lambda j: 2.0**-j), st.just(1e-300)
+    ),
+)
+def test_skip_search_matches_linear_scan(eta, d, seed, kind, epsilon):
+    f = _hard_table(kind, np.random.default_rng(seed), eta, d)
+    trunc = minimal_truncation(f, epsilon)
+    curve = truncation_error_curve(f, upto=trunc.k)
+    assert curve[trunc.k] < epsilon
+    assert np.all(curve[: trunc.k] >= epsilon)
+    assert trunc.order.dtype == np.int64 and not trunc.order.flags.writeable
+
+
+def test_skip_search_on_non_monotone_profiles():
+    # every distinct error value of a non-monotone curve, used as epsilon
+    # itself and just above it, must give the linear scan's first k
+    rng = np.random.default_rng(47)
+    checked = 0
+    for kind in ("uniform", "quarter", "half", "ties"):
+        for _ in range(4):
+            f = _hard_table(kind, rng, int(rng.integers(3, 7)), int(rng.integers(3, 10)))
+            curve = truncation_error_curve(f)
+            if not np.any(np.diff(curve) > 0):
+                continue
+            checked += 1
+            for err in np.unique(curve):
+                for epsilon in (err, np.nextafter(err, np.inf)):
+                    if epsilon > 0:
+                        first = int(np.flatnonzero(curve < epsilon)[0])
+                        assert minimal_truncation(f, epsilon).k == first
+    assert checked >= 8
+
+
+def test_epsilon_at_or_above_two():
+    rng = np.random.default_rng(53)
+    f = random_function(rng, eta=6, d=7)
+    curve = truncation_error_curve(f)
+    assert minimal_truncation(f, 2.5).k == 0
+    assert minimal_truncation(f, 2.0).k == int(np.flatnonzero(curve < 2.0)[0])
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     eta=st.integers(min_value=1, max_value=7),
