@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RangeError
-from .qrom import CostReport, Ordering, cost, pair_cancel, synthesize
+from .qrom import CostReport, cost, pair_cancel, synthesize
 from .wht import SampledFunction, minimal_truncation
 
 __all__ = [
@@ -197,21 +197,16 @@ def compare(
     f: SampledFunction,
     epsilon: float,
     d_ss: int | None = None,
-    ordering: Ordering = Ordering.GRAY_CODE,
-    optimize: bool = True,
 ) -> ComparisonRecord:
     """Run both pipelines on the same table and report SS/WH ratios.
 
     The WH side synthesizes at the requested epsilon (Gray ordering plus
-    pair cancellation unless optimize=False); the SELECT-SWAP side uses its
-    Toffoli-optimal integer lambda.  d may differ per side: d_ss defaults to
-    the table's own width.
+    pair cancellation); the SELECT-SWAP side uses its Toffoli-optimal
+    integer lambda.  d may differ per side: d_ss defaults to the table's own
+    width.
     """
     trunc = minimal_truncation(f, epsilon)
-    circuit = synthesize(trunc, ordering)
-    if optimize:
-        circuit = pair_cancel(circuit, trunc)
-    wh_report = cost(circuit)
+    wh_report = cost(pair_cancel(synthesize(trunc), trunc))
     d_ss = f.d if d_ss is None else d_ss
     f_ss = (
         f

@@ -11,7 +11,7 @@ Gray-code ordering exploits.  Every gate maps basis states to basis states,
 so circuits are simulated by plain integer arithmetic.
 
 Cost model (per constant adder of k on b bits, lsb = index of k's lowest
-set bit):
+set bit; T count = 4 * workspace ancillas):
 
     T count          4 * (b - 2 - lsb)        [clamped at 0]
     controlled form  4 * (b - 1 - lsb)
@@ -23,7 +23,6 @@ set bit):
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -39,7 +38,7 @@ __all__ = [
     "CAdder",
     "Cnot",
     "XGate",
-    "CSwap",
+    "GateError",
     "QromCircuit",
     "CostReport",
     "synthesize",
@@ -48,8 +47,6 @@ __all__ = [
     "simulate",
     "simulate_table",
     "multiplexed_rotation_unitary",
-    "synthesize_split",
-    "SplitQrom",
     "circuit_to_lines",
     "circuit_from_lines",
 ]
@@ -62,15 +59,72 @@ class Ordering(enum.Enum):
 
 # ---------------------------------------------------------------------------
 # Gate IR.  Qubit layout: [0, eta) input register, [eta, eta+b) payload,
-# [eta+b, eta+b+ancilla_count) ancillas.  Indices in Cnot/X/CSwap/CAdder are
-# global; Pfx/Adder act on the payload implicitly.
+# [eta+b, eta+b+ancilla_count) ancillas.  Indices in Cnot/X/CAdder are
+# global; Pfx/Adder act on the payload implicitly.  Simulation state is
+# regs = [input, payload, ancillas], and _locate maps a global index into it.
+#
+# Each gate kind defines everything about itself in one class:
+#   op, text(), parse(fields)   its wire token, line and field parser
+#   resources()                 (t, cnots, other_cliffords, workspace, keys)
+#                               for cost(); T depth is t // 4 on the keys
+#   step(regs, eta, b)          scalar step on ints, for simulate()
+#   vstep(regs, eta, b)         branch-free step on int64 arrays, for
+#                               simulate_table()
+#   fault(eta, b, total)        the circuit rule it breaks, or None
 # ---------------------------------------------------------------------------
+
+_PAYLOAD = ("Y",)
+
+
+def _locate(q: int, eta: int, b: int) -> tuple[int, int]:
+    """(register, bit) of global qubit q in regs = [input, payload, ancillas]."""
+    if q < eta:
+        return 0, q
+    if q < eta + b:
+        return 1, q - eta
+    return 2, q - eta - b
+
+
+def _width_fault(width: int, b: int) -> str | None:
+    if width != b:
+        return f"width {width} differs from the payload width {b}"
+    return None
+
+
+def _qubit_fault(q: int, first: int, total: int) -> str | None:
+    if not first <= q < total:
+        return f"qubit {q} outside [{first}, {total})"
+    return None
+
+
+def _lsb(k: int) -> int:
+    return (abs(k) & -abs(k)).bit_length() - 1 if k else 0
+
+
+def _check_constant(k: int, width: int) -> None:
+    if not (-(1 << width) < k < (1 << width)):
+        raise RangeError(f"|k| = {abs(k)} must be < 2**{width}")
+
+
+def _adder_workspace(k: int, b: int, controls: int) -> int:
+    """Carry ancillas of a constant adder of k mod 2**b; its T count is 4x this."""
+    return max(0, b - 2 + controls - _lsb(k)) if k else 0
+
+
+class _Gate:
+    @classmethod
+    def parse(cls, fields: Sequence[str]) -> "_Gate":
+        """Build the gate from its wire fields, all decimal integers."""
+        if len(fields) != len(cls.__dataclass_fields__):
+            raise ValueError(f"{cls.op} takes {len(cls.__dataclass_fields__)} fields")
+        return cls(*map(int, fields))
 
 
 @dataclass(frozen=True)
-class Pfx:
+class Pfx(_Gate):
     """Parity-controlled fanout-X: flips all b payload bits when <x,z> = 1."""
 
+    op = "PFX"
     mask: int
     width: int
 
@@ -78,60 +132,175 @@ class Pfx:
         if self.mask == 0:
             raise RangeError("PFX mask must be nonzero (z = 0 folds into an adder)")
 
+    @property
+    def cnots(self) -> int:
+        return 2 * (self.mask.bit_count() - 1) + self.width
+
+    def resources(self):
+        inputs = tuple(("q", i) for i in range(self.mask.bit_length()) if self.mask >> i & 1)
+        return 0, self.cnots, 0, 0, _PAYLOAD + inputs
+
+    def step(self, regs, eta, b):
+        if (regs[0] & self.mask).bit_count() & 1:
+            regs[1] ^= (1 << b) - 1
+
+    def vstep(self, regs, eta, b):
+        # np.bitwise_count returns uint8: widen before scaling by the mask
+        parity = (np.bitwise_count(regs[0] & self.mask) & 1).astype(np.int64)
+        regs[1] ^= parity * ((1 << b) - 1)
+
+    def fault(self, eta, b, total):
+        if self.mask >> eta:
+            return f"mask must be < 2**{eta}"
+        return _width_fault(self.width, b)
+
+    def text(self) -> str:
+        return f"{self.op} {self.mask:#x} {self.width}"
+
+    @classmethod
+    def parse(cls, fields: Sequence[str]) -> "Pfx":
+        mask, width = fields
+        return cls(int(mask, 16), int(width))
+
 
 @dataclass(frozen=True)
-class Adder:
+class Adder(_Gate):
     """y -> y + k mod 2**width on the payload register."""
 
+    op = "ADD"
     k: int
     width: int
 
     def __post_init__(self):
-        if not (-(1 << self.width) < self.k < (1 << self.width)):
-            raise RangeError(f"|k| = {abs(self.k)} must be < 2**{self.width}")
+        _check_constant(self.k, self.width)
+
+    def resources(self):
+        workspace = _adder_workspace(self.k, self.width, 0)
+        return 4 * workspace, 0, 0, workspace, _PAYLOAD
+
+    def step(self, regs, eta, b):
+        regs[1] = (regs[1] + self.k) & ((1 << b) - 1)
+
+    def vstep(self, regs, eta, b):
+        regs[1] += self.k
+        regs[1] &= (1 << b) - 1
+
+    def fault(self, eta, b, total):
+        return _width_fault(self.width, b)
+
+    def text(self) -> str:
+        return f"{self.op} {self.k} {self.width}"
 
 
 @dataclass(frozen=True)
-class CAdder:
+class CAdder(_Gate):
     """Adder controlled on one global qubit index."""
 
+    op = "CADD"
     k: int
     width: int
     control: int
 
     def __post_init__(self):
-        if not (-(1 << self.width) < self.k < (1 << self.width)):
-            raise RangeError(f"|k| = {abs(self.k)} must be < 2**{self.width}")
+        _check_constant(self.k, self.width)
+
+    def resources(self):
+        workspace = _adder_workspace(self.k, self.width, 1)
+        return 4 * workspace, 0, 0, workspace, _PAYLOAD + (("q", self.control),)
+
+    def step(self, regs, eta, b):
+        reg, bit = _locate(self.control, eta, b)
+        if regs[reg] >> bit & 1:
+            regs[1] = (regs[1] + self.k) & ((1 << b) - 1)
+
+    def vstep(self, regs, eta, b):
+        reg, bit = _locate(self.control, eta, b)
+        regs[1] += (regs[reg] >> bit & 1) * self.k
+        regs[1] &= (1 << b) - 1
+
+    def fault(self, eta, b, total):
+        if eta <= self.control < eta + b:
+            return "control is a payload qubit"
+        return _width_fault(self.width, b) or _qubit_fault(self.control, 0, total)
+
+    def text(self) -> str:
+        return f"{self.op} {self.k} {self.width} {self.control}"
 
 
 @dataclass(frozen=True)
-class Cnot:
+class Cnot(_Gate):
+    op = "CNOT"
     control: int
     target: int
 
+    def resources(self):
+        return 0, 1, 0, 0, (("q", self.control), ("q", self.target))
+
+    def step(self, regs, eta, b):
+        reg, bit = _locate(self.control, eta, b)
+        if regs[reg] >> bit & 1:
+            reg, bit = _locate(self.target, eta, b)
+            regs[reg] ^= 1 << bit
+
+    def vstep(self, regs, eta, b):
+        reg, bit = _locate(self.control, eta, b)
+        target, shift = _locate(self.target, eta, b)
+        regs[target] ^= (regs[reg] >> bit & 1) << shift
+
+    def fault(self, eta, b, total):
+        if self.control == self.target:
+            return "control equals target"
+        return _qubit_fault(self.control, 0, total) or _qubit_fault(self.target, eta, total)
+
+    def text(self) -> str:
+        return f"{self.op} {self.control} {self.target}"
+
 
 @dataclass(frozen=True)
-class XGate:
+class XGate(_Gate):
+    op = "X"
     target: int
 
+    def resources(self):
+        return 0, 0, 1, 0, (("q", self.target),)
 
-@dataclass(frozen=True)
-class CSwap:
-    """Swap each (a, b) qubit pair when the control qubit is 1."""
+    def step(self, regs, eta, b):
+        reg, bit = _locate(self.target, eta, b)
+        regs[reg] ^= 1 << bit
 
-    control: int
-    pairs: tuple
+    vstep = step
+
+    def fault(self, eta, b, total):
+        return _qubit_fault(self.target, eta, total)
+
+    def text(self) -> str:
+        return f"{self.op} {self.target}"
 
 
-Gate = Union[Pfx, Adder, CAdder, Cnot, XGate, CSwap]
+Gate = Union[Pfx, Adder, CAdder, Cnot, XGate]
+_GATE_KINDS = {kind.op: kind for kind in (Pfx, Adder, CAdder, Cnot, XGate)}
+
+
+class GateError(ShapeError):
+    """A gate breaks a circuit rule; ``index`` is its position in the circuit."""
+
+    def __init__(self, index: int, message: str):
+        super().__init__(f"gate {index}: {message}")
+        self.index = index
 
 
 @dataclass(frozen=True)
 class QromCircuit:
-    """Immutable gate sequence over input/payload/ancilla registers.
+    """Immutable, validated gate sequence over input/payload/ancilla registers.
 
-    Invariant: the sequence never contains two adjacent Pfx gates (they
-    compose by XOR of masks and are merged at construction).
+    Rules, checked at construction (:class:`GateError` names the first gate
+    that breaks one; negative register widths raise :class:`RangeError`):
+    every gate width equals the payload width b; PFX masks are < 2**eta;
+    every qubit index lies in [0, total_qubits); CNOT and X targets are
+    payload or ancilla qubits (the input register is read-only); a CNOT's
+    control differs from its target; a CADD control is not a payload qubit;
+    no two PFX gates are adjacent (they compose by XOR of masks and are
+    merged at synthesis).
     """
 
     input_width: int
@@ -141,17 +310,20 @@ class QromCircuit:
 
     def __post_init__(self):
         object.__setattr__(self, "gates", tuple(self.gates))
-        for g1, g2 in zip(self.gates, self.gates[1:]):
-            if isinstance(g1, Pfx) and isinstance(g2, Pfx):
-                raise ShapeError("adjacent PFX gates must be merged by mask XOR")
-
-    @property
-    def eta(self) -> int:
-        return self.input_width
-
-    @property
-    def b(self) -> int:
-        return self.payload_width
+        eta, b = self.input_width, self.payload_width
+        if min(eta, b, self.ancilla_count) < 0:
+            raise RangeError(
+                f"register widths must be nonnegative, got ({eta}, {b}, {self.ancilla_count})"
+            )
+        total = self.total_qubits
+        previous = None
+        for i, gate in enumerate(self.gates):
+            fault = gate.fault(eta, b, total)
+            if fault is None and isinstance(gate, Pfx) and isinstance(previous, Pfx):
+                fault = "adjacent PFX gates must be merged by mask XOR"
+            if fault:
+                raise GateError(i, f"{gate.text()}: {fault}")
+            previous = gate
 
     @property
     def total_qubits(self) -> int:
@@ -181,19 +353,21 @@ def _gray_rank(z: int) -> int:
     return m
 
 
-def _pfx_chain_cnots(masks: Sequence[int], b: int) -> int:
-    return sum(2 * (int(z).bit_count() - 1) + b for z in masks if z)
+def _chain(items: Sequence[tuple[int, int]], b: int) -> list:
+    """PFX/ADD chain adding c (-1)^<x,z> per (z, c) item, in the given order.
 
-
-def _chain_masks(order: Sequence[int]) -> list[int]:
-    """PFX masks of the merged chain for supports visited in this order."""
-    masks = []
+    Consecutive sandwiches share one PFX of the XOR of their masks.
+    """
+    gates: list = []
     prev = 0
-    for z in order:
-        masks.append(prev ^ z)
+    for z, c in items:
+        if prev ^ z:
+            gates.append(Pfx(prev ^ z, b))
+        gates.append(Adder(c, b))
         prev = z
-    masks.append(prev)
-    return [m for m in masks if m]
+    if prev:
+        gates.append(Pfx(prev, b))
+    return gates
 
 
 def synthesize(
@@ -211,28 +385,17 @@ def synthesize(
     """
     eta = spec.eta
     b = spec.base.b
-    items = [(z, c) for z, c in spec.support_coeffs() if c % (1 << b)]
-    if not items:
-        return QromCircuit(input_width=eta, payload_width=b)
+    items = [(z, _centered(c, b)) for z, c in spec.support_coeffs() if c % (1 << b)]
+    gates = _chain(items, b)
     if ordering is Ordering.GRAY_CODE:
-        candidate = sorted(items, key=lambda zc: _gray_rank(zc[0]))
-        kept = [z for z, _ in items]
-        gray = [z for z, _ in candidate]
-        if _pfx_chain_cnots(_chain_masks(gray), b) <= _pfx_chain_cnots(
-            _chain_masks(kept), b
-        ):
-            items = candidate
-    gates: list = []
-    prev = 0
-    for z, c in items:
-        mask = prev ^ z
-        if mask:
-            gates.append(Pfx(mask, b))
-        gates.append(Adder(_centered(c, b), b))
-        prev = z
-    if prev:
-        gates.append(Pfx(prev, b))
+        gray = _chain(sorted(items, key=lambda zc: _gray_rank(zc[0])), b)
+        if _pfx_cnots(gray) <= _pfx_cnots(gates):
+            gates = gray
     return QromCircuit(input_width=eta, payload_width=b, gates=tuple(gates))
+
+
+def _pfx_cnots(gates: Sequence[Gate]) -> int:
+    return sum(g.cnots for g in gates if isinstance(g, Pfx))
 
 
 def _centered(k: int, b: int) -> int:
@@ -241,28 +404,6 @@ def _centered(k: int, b: int) -> int:
     if k >= 1 << (b - 1):
         k -= 1 << b
     return k
-
-
-def _lsb(k: int) -> int:
-    return (abs(k) & -abs(k)).bit_length() - 1 if k else 0
-
-
-def _adder_t(k: int, b: int) -> int:
-    if k == 0:
-        return 0
-    return 4 * max(0, b - 2 - _lsb(k))
-
-
-def _cadder_t(k: int, b: int) -> int:
-    if k == 0:
-        return 0
-    return 4 * max(0, b - 1 - _lsb(k))
-
-
-def _adder_ancillas(k: int, b: int, controlled: bool) -> int:
-    if k == 0:
-        return 0
-    return max(0, b - (1 if controlled else 2) - _lsb(k))
 
 
 @dataclass(frozen=True)
@@ -312,9 +453,6 @@ class CostReport:
             "quantumVolume": self.quantum_volume,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
     @staticmethod
     def assemble(t, cnot, clifford, qubits, t_depth) -> "CostReport":
         return CostReport(
@@ -328,31 +466,6 @@ class CostReport:
         )
 
 
-def _gate_resources(gate: Gate, eta: int, b: int):
-    """(t, toffoli_depth, cnots, other_cliffords, transient_ancillas, keys)"""
-    payload = ("Y",)
-    if isinstance(gate, Pfx):
-        cnots = 2 * (gate.mask.bit_count() - 1) + b
-        keys = payload + tuple(("q", i) for i in range(eta) if gate.mask >> i & 1)
-        return 0, 0, cnots, 0, 0, keys
-    if isinstance(gate, Adder):
-        t = _adder_t(gate.k, b)
-        return t, t // 4, 0, 0, _adder_ancillas(gate.k, b, False), payload
-    if isinstance(gate, CAdder):
-        t = _cadder_t(gate.k, b)
-        keys = payload + (("q", gate.control),)
-        return t, t // 4, 0, 0, _adder_ancillas(gate.k, b, True), keys
-    if isinstance(gate, Cnot):
-        return 0, 0, 1, 0, 0, (("q", gate.control), ("q", gate.target))
-    if isinstance(gate, XGate):
-        return 0, 0, 0, 1, 0, (("q", gate.target),)
-    if isinstance(gate, CSwap):
-        npairs = len(gate.pairs)
-        keys = (("q", gate.control),) + tuple(("q", q) for ab in gate.pairs for q in ab)
-        return 4 * npairs, 1, 2 * npairs, 0, 0, keys
-    raise ShapeError(f"unknown gate {gate!r}")
-
-
 def cost(circuit: QromCircuit) -> CostReport:
     """Sum per-gate costs; T depth by greedy layering of commuting blocks.
 
@@ -361,21 +474,19 @@ def cost(circuit: QromCircuit) -> CostReport:
     The qubit count is eta + b + allocated ancillas + the widest transient
     adder workspace.
     """
-    eta, b = circuit.input_width, circuit.payload_width
-    t = cnot = clifford = 0
-    max_transient = 0
+    t = cnot = clifford = max_workspace = 0
     frontier: dict = {}
     for gate in circuit.gates:
-        gt, gdepth, gcnot, gcliff, transient, keys = _gate_resources(gate, eta, b)
+        gt, gcnot, gcliff, workspace, keys = gate.resources()
         t += gt
         cnot += gcnot
         clifford += gcliff + gcnot
-        max_transient = max(max_transient, transient)
+        max_workspace = max(max_workspace, workspace)
         start = max((frontier.get(k, 0) for k in keys), default=0)
         for k in keys:
-            frontier[k] = start + gdepth
+            frontier[k] = start + gt // 4
     t_depth = max(frontier.values(), default=0)
-    qubits = eta + b + circuit.ancilla_count + max_transient
+    qubits = circuit.total_qubits + max_workspace
     return CostReport.assemble(t, cnot, clifford, qubits, t_depth)
 
 
@@ -461,23 +572,9 @@ def pair_cancel(circuit: QromCircuit, spec: TruncatedSpectrum) -> QromCircuit:
 
     coeff = dict(items)
     anc_index = eta + b
-    gates: list = []
-    singles = [(z, c) for z, c in items if z in remaining]
-    prev = 0
-    for z, c in singles:
-        mask = prev ^ z
-        if mask:
-            gates.append(Pfx(mask, b))
-        gates.append(Adder(c, b))
-        prev = z
-    if prev:
-        gates.append(Pfx(prev, b))
-    oriented = []
-    for z1, z2 in pairs:
-        if (z1.bit_count(), z1) <= (z2.bit_count(), z2):
-            oriented.append((z1, z2))
-        else:
-            oriented.append((z2, z1))
+    gates = _chain([(z, c) for z, c in items if z in remaining], b)
+    # the lighter mask of each pair carries the sign (ties by value)
+    oriented = [tuple(sorted(pair, key=lambda z: (z.bit_count(), z))) for pair in pairs]
     oriented.sort(key=lambda zz: _gray_rank(zz[0]))
     for zs, zo in oriented:
         gates.extend(_emit_pair_block(zs, coeff[zs], zo, coeff[zo], b, anc_index, eta))
@@ -498,62 +595,24 @@ def pair_cancel(circuit: QromCircuit, spec: TruncatedSpectrum) -> QromCircuit:
 # ---------------------------------------------------------------------------
 
 
-def _bit_get(x: int, y: int, anc: int, q: int, eta: int, b: int) -> int:
-    if q < eta:
-        return (x >> q) & 1
-    if q < eta + b:
-        return (y >> (q - eta)) & 1
-    return (anc >> (q - eta - b)) & 1
-
-
 def simulate(circuit: QromCircuit, x: int, y: int) -> int:
     """Run the circuit on basis state |x>|y>|0...0> and return the payload.
 
     Every gate is a permutation composed with modular additions, so this is
-    pure integer arithmetic.
+    pure integer arithmetic, one gate at a time: the reference that
+    :func:`simulate_table` is tested against.
     """
     eta, b = circuit.input_width, circuit.payload_width
     if not 0 <= x < (1 << eta):
         raise RangeError(f"x = {x} outside [0, 2**{eta})")
     if not 0 <= y < (1 << b):
         raise RangeError(f"y = {y} outside [0, 2**{b})")
-    mask_b = (1 << b) - 1
-    anc = 0
+    regs = [x, y, 0]
     for gate in circuit.gates:
-        if isinstance(gate, Pfx):
-            if (x & gate.mask).bit_count() & 1:
-                y = (~y) & mask_b
-        elif isinstance(gate, Adder):
-            y = (y + gate.k) & mask_b
-        elif isinstance(gate, CAdder):
-            if _bit_get(x, y, anc, gate.control, eta, b):
-                y = (y + gate.k) & mask_b
-        elif isinstance(gate, Cnot):
-            if _bit_get(x, y, anc, gate.control, eta, b):
-                x, y, anc = _bit_flip(x, y, anc, gate.target, eta, b)
-        elif isinstance(gate, XGate):
-            x, y, anc = _bit_flip(x, y, anc, gate.target, eta, b)
-        elif isinstance(gate, CSwap):
-            if _bit_get(x, y, anc, gate.control, eta, b):
-                for qa, qb in gate.pairs:
-                    ba = _bit_get(x, y, anc, qa, eta, b)
-                    bb = _bit_get(x, y, anc, qb, eta, b)
-                    if ba != bb:
-                        x, y, anc = _bit_flip(x, y, anc, qa, eta, b)
-                        x, y, anc = _bit_flip(x, y, anc, qb, eta, b)
-        else:
-            raise ShapeError(f"unknown gate {gate!r}")
-    if anc:
+        gate.step(regs, eta, b)
+    if regs[2]:
         raise ToleranceError("ancillas not restored to |0> at circuit end")
-    return y
-
-
-def _bit_flip(x: int, y: int, anc: int, q: int, eta: int, b: int):
-    if q < eta:
-        return x ^ (1 << q), y, anc
-    if q < eta + b:
-        return x, y ^ (1 << (q - eta)), anc
-    return x, y, anc ^ (1 << (q - eta - b))
+    return regs[1]
 
 
 def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
@@ -563,52 +622,19 @@ def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
     to calling :func:`simulate` point by point.
     """
     eta, b = circuit.input_width, circuit.payload_width
-    mask_b = (1 << b) - 1
-    x = np.arange(1 << eta, dtype=np.uint64)
-    y = np.full(1 << eta, y0, dtype=np.int64)
-    anc = np.zeros(1 << eta, dtype=np.int64)
-
-    def get_bits(q: int) -> np.ndarray:
-        if q < eta:
-            return ((x >> np.uint64(q)) & np.uint64(1)).astype(np.int64)
-        if q < eta + b:
-            return (y >> (q - eta)) & 1
-        return (anc >> (q - eta - b)) & 1
-
-    def flip(q: int, where: np.ndarray) -> None:
-        nonlocal y, anc
-        if q < eta:
-            raise ShapeError("table simulation assumes the input register is read-only")
-        if q < eta + b:
-            y = np.where(where, y ^ (1 << (q - eta)), y)
-        else:
-            anc = np.where(where, anc ^ (1 << (q - eta - b)), anc)
-
+    if not 0 <= y0 < (1 << b):
+        raise RangeError(f"y0 = {y0} outside [0, 2**{b})")
+    n = 1 << eta
+    regs = [
+        np.arange(n, dtype=np.int64),
+        np.full(n, y0, dtype=np.int64),
+        np.zeros(n, dtype=np.int64),
+    ]
     for gate in circuit.gates:
-        if isinstance(gate, Pfx):
-            par = (np.bitwise_count(x & np.uint64(gate.mask)) & 1).astype(bool)
-            y = np.where(par, (~y) & mask_b, y)
-        elif isinstance(gate, Adder):
-            y = (y + gate.k) & mask_b
-        elif isinstance(gate, CAdder):
-            sel = get_bits(gate.control).astype(bool)
-            y = np.where(sel, (y + gate.k) & mask_b, y)
-        elif isinstance(gate, Cnot):
-            sel = get_bits(gate.control).astype(bool)
-            flip(gate.target, sel)
-        elif isinstance(gate, XGate):
-            flip(gate.target, np.ones(x.shape, dtype=bool))
-        elif isinstance(gate, CSwap):
-            sel = get_bits(gate.control).astype(bool)
-            for qa, qb in gate.pairs:
-                differ = sel & (get_bits(qa) != get_bits(qb))
-                flip(qa, differ)
-                flip(qb, differ)
-        else:
-            raise ShapeError(f"unknown gate {gate!r}")
-    if np.any(anc):
+        gate.vstep(regs, eta, b)
+    if np.any(regs[2]):
         raise ToleranceError("ancillas not restored to |0> at circuit end")
-    return y.astype(np.int64)
+    return regs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -655,73 +681,6 @@ def multiplexed_rotation_unitary(f: SampledFunction) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Optional depth-halving support split
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SplitQrom:
-    """Two half-support QROMs on separate payloads plus one merging adder.
-
-    The halves run in parallel (roughly half the T depth); the merge is
-    booked as exactly one extra b-bit quantum-quantum adder: 4(b-1) T gates,
-    b-1 ancillas.
-    """
-
-    first: QromCircuit
-    second: QromCircuit
-
-    @property
-    def eta(self) -> int:
-        return self.first.input_width
-
-    @property
-    def b(self) -> int:
-        return self.first.payload_width
-
-    def simulate(self, x: int, y: int) -> int:
-        part = simulate(self.first, x, y)
-        shift = simulate(self.second, x, 0)
-        return (part + shift) % (1 << self.b)
-
-    def cost(self) -> CostReport:
-        b = self.b
-        c1, c2 = cost(self.first), cost(self.second)
-        merge_t = 4 * (b - 1)
-        t = c1.t_count + c2.t_count + merge_t
-        cnot = c1.cnot_count + c2.cnot_count
-        clifford = c1.clifford_count + c2.clifford_count
-        qubits = self.eta + 2 * b + max(
-            c1.qubit_count - self.eta - b,
-            c2.qubit_count - self.eta - b,
-            b - 1,
-        )
-        t_depth = max(c1.t_depth, c2.t_depth) + (b - 1)
-        return CostReport.assemble(t, cnot, clifford, qubits, t_depth)
-
-
-def synthesize_split(
-    spec: TruncatedSpectrum, ordering: Ordering = Ordering.GRAY_CODE
-) -> SplitQrom:
-    """Split the support into alternating halves and synthesize each."""
-    items = spec.support_coeffs()
-    half1 = [z for i, (z, _) in enumerate(items) if i % 2 == 0]
-    half2 = [z for i, (z, _) in enumerate(items) if i % 2 == 1]
-    order = spec.order
-
-    def restrict(masks):
-        chosen = np.isin(order, masks)
-        return TruncatedSpectrum(
-            base=spec.base, k=len(masks), order=np.concatenate((order[chosen], order[~chosen]))
-        )
-
-    return SplitQrom(
-        first=synthesize(restrict(half1), ordering),
-        second=synthesize(restrict(half2), ordering),
-    )
-
-
-# ---------------------------------------------------------------------------
 # Wire format: one gate per line
 # ---------------------------------------------------------------------------
 
@@ -731,58 +690,36 @@ def circuit_to_lines(circuit: QromCircuit) -> str:
     header = (
         f"QROM {circuit.input_width} {circuit.payload_width} {circuit.ancilla_count}"
     )
-    lines = [header]
-    for g in circuit.gates:
-        if isinstance(g, Pfx):
-            lines.append(f"PFX {g.mask:#x} {g.width}")
-        elif isinstance(g, Adder):
-            lines.append(f"ADD {g.k} {g.width}")
-        elif isinstance(g, CAdder):
-            lines.append(f"CADD {g.k} {g.width} {g.control}")
-        elif isinstance(g, Cnot):
-            lines.append(f"CNOT {g.control} {g.target}")
-        elif isinstance(g, XGate):
-            lines.append(f"X {g.target}")
-        elif isinstance(g, CSwap):
-            pairs = ",".join(f"{a}:{bq}" for a, bq in g.pairs)
-            lines.append(f"CSWAP {g.control} {pairs}")
-        else:
-            raise ShapeError(f"unknown gate {g!r}")
-    return "\n".join(lines) + "\n"
+    return "\n".join([header, *(g.text() for g in circuit.gates)]) + "\n"
 
 
 def circuit_from_lines(text: str) -> QromCircuit:
-    """Parse the line-oriented text format back into a circuit."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("QROM "):
+    """Parse the line-oriented text format back into a validated circuit.
+
+    A :class:`ParseError` names the offending line of ``text`` (1-based).
+    """
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("QROM "):
         raise ParseError("missing 'QROM <eta> <b> <ancillas>' header line")
+    header_no, header = lines[0]
     try:
-        _, eta_s, b_s, anc_s = lines[0].split()
+        _, eta_s, b_s, anc_s = header.split()
         eta, b, anc = int(eta_s), int(b_s), int(anc_s)
     except ValueError as exc:
-        raise ParseError(f"bad header {lines[0]!r}") from exc
+        raise ParseError(f"bad header {header!r}") from exc
     gates: list = []
-    for lineno, line in enumerate(lines[1:], start=2):
-        parts = line.split()
+    for lineno, line in lines[1:]:
+        op, *fields = line.split()
+        kind = _GATE_KINDS.get(op)
+        if kind is None:
+            raise ParseError(f"line {lineno}: unknown opcode {op!r}")
         try:
-            op = parts[0]
-            if op == "PFX":
-                gates.append(Pfx(int(parts[1], 16), int(parts[2])))
-            elif op == "ADD":
-                gates.append(Adder(int(parts[1]), int(parts[2])))
-            elif op == "CADD":
-                gates.append(CAdder(int(parts[1]), int(parts[2]), int(parts[3])))
-            elif op == "CNOT":
-                gates.append(Cnot(int(parts[1]), int(parts[2])))
-            elif op == "X":
-                gates.append(XGate(int(parts[1])))
-            elif op == "CSWAP":
-                pairs = tuple(
-                    tuple(int(v) for v in chunk.split(":")) for chunk in parts[2].split(",")
-                )
-                gates.append(CSwap(int(parts[1]), pairs))
-            else:
-                raise ParseError(f"line {lineno}: unknown opcode {op!r}")
-        except (IndexError, ValueError) as exc:
+            gates.append(kind.parse(fields))
+        except ValueError as exc:
             raise ParseError(f"line {lineno}: cannot parse {line!r}") from exc
-    return QromCircuit(input_width=eta, payload_width=b, ancilla_count=anc, gates=tuple(gates))
+    try:
+        return QromCircuit(input_width=eta, payload_width=b, ancilla_count=anc, gates=gates)
+    except GateError as exc:
+        raise ParseError(f"line {lines[exc.index + 1][0]}: {exc}") from exc
+    except RangeError as exc:
+        raise ParseError(f"line {header_no}: {exc}") from exc

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from whqrom.errors import RangeError, ScaleError, ShapeError
+from whqrom.errors import ParseError, RangeError, ScaleError, ShapeError
 from whqrom.qrom import (
     Adder,
     CAdder,
     Cnot,
     CostReport,
-    CSwap,
     Ordering,
     Pfx,
     QromCircuit,
@@ -20,7 +20,6 @@ from whqrom.qrom import (
     simulate,
     simulate_table,
     synthesize,
-    synthesize_split,
 )
 from whqrom.wht import (
     SampledFunction,
@@ -130,6 +129,8 @@ class TestSimulate:
             simulate(circ, 4, 0)
         with pytest.raises(RangeError):
             simulate(circ, 0, 16)
+        with pytest.raises(RangeError):
+            simulate_table(circ, 16)
 
     def test_functional_correctness_random_pipeline(self):
         rng = np.random.default_rng(23)
@@ -392,36 +393,6 @@ class TestPhaseKickback:
             assert np.allclose(out, phase * fourier, atol=1e-12)
 
 
-class TestSplitMode:
-    def test_split_matches_plain_action(self):
-        rng = np.random.default_rng(53)
-        f = random_function(rng, 5, 5)
-        trunc = full_truncation(f)
-        split = synthesize_split(trunc)
-        plain = synthesize(trunc)
-        b = 5 + 5
-        for x in range(0, 32, 3):
-            for y in (0, 77):
-                assert split.simulate(x, y) == simulate(plain, x, y)
-
-    def test_split_books_one_extra_adder(self):
-        rng = np.random.default_rng(59)
-        f = random_function(rng, 4, 6)
-        trunc = full_truncation(f)
-        split = synthesize_split(trunc)
-        b = 4 + 6
-        parts = cost(split.first).t_count + cost(split.second).t_count
-        assert split.cost().t_count == parts + 4 * (b - 1)
-
-    def test_split_depth_not_worse_than_serial(self):
-        rng = np.random.default_rng(61)
-        f = random_function(rng, 6, 6)
-        trunc = full_truncation(f)
-        split = synthesize_split(trunc)
-        serial = cost(synthesize(trunc))
-        assert split.cost().t_depth <= serial.t_depth + (6 + 6 - 1)
-
-
 class TestIrInvariants:
     def test_zero_pfx_mask_rejected(self):
         with pytest.raises(RangeError):
@@ -438,33 +409,6 @@ class TestIrInvariants:
     def test_adder_constant_bound(self):
         with pytest.raises(RangeError):
             Adder(1 << 4, 4)
-
-
-class TestControlledSwapSimulation:
-    def test_cswap_permutes_payload_bits(self):
-        # control on an input-register bit; swap two payload bits
-        eta, b = 1, 4
-        circ = QromCircuit(
-            input_width=eta,
-            payload_width=b,
-            gates=(CSwap(0, ((eta + 0, eta + 2),)),),
-        )
-        # x = 0: control clear, payload unchanged
-        assert simulate(circ, 0, 0b0001) == 0b0001
-        # x = 1: bits 0 and 2 of the payload swap
-        assert simulate(circ, 1, 0b0001) == 0b0100
-        assert simulate(circ, 1, 0b0101) == 0b0101
-        table = simulate_table(circ, 0b0001)
-        assert table[0] == 0b0001 and table[1] == 0b0100
-
-    def test_cswap_cost_books_one_toffoli_per_pair(self):
-        circ = QromCircuit(
-            input_width=1, payload_width=4, gates=(CSwap(0, ((1, 3), (2, 4))),)
-        )
-        report = cost(circ)
-        assert report.t_count == 8
-        assert report.toffoli_count == 2
-        assert report.cnot_count == 4
 
 
 class TestInt64Boundary:
@@ -501,7 +445,6 @@ class TestSerialization:
                 CAdder(2, 4, 6),
                 Cnot(0, 6),
                 XGate(6),
-                CSwap(6, ((0, 1),)),
             ),
         )
         lines = circuit_to_lines(circ).splitlines()
@@ -511,4 +454,75 @@ class TestSerialization:
         assert lines[3] == "CADD 2 4 6"
         assert lines[4] == "CNOT 0 6"
         assert lines[5] == "X 6"
-        assert lines[6] == "CSWAP 6 0:1"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("QROM 2 4 0\n\nADD 3 7\n", r"line 3: .*width 7 differs from the payload width 4"),
+            ("QROM 2 4 0\nPFX 0x3 9\n", r"line 2: .*width 9 differs"),
+            ("QROM 2 4 1\nCNOT 0 1\n", r"line 2: .*qubit 1 outside \[2, 7\)"),
+            ("QROM 2 4 1\nX 6\nCNOT 6 6\nX 6\n", r"line 3: .*control equals target"),
+            ("QROM 2 4 1\nCADD 1 4 3\n", r"line 2: .*control is a payload qubit"),
+            ("QROM 2 4 0\nCNOT 99 2\n", r"line 2: .*qubit 99 outside \[0, 6\)"),
+            ("QROM 2 4 0\nX -1\n", r"line 2: .*qubit -1 outside \[2, 6\)"),
+            ("QROM -1 4 0\n", r"line 1: .*nonnegative"),
+            ("QROM 2 4 0\nPFX 0x10 4\n", r"line 2: .*mask must be < 2\*\*2"),
+            ("QROM 2 4 0\nADD 1 4 7 7\n", r"line 2: cannot parse"),
+            ("QROM 2 4 0\nPFX 0x1 4\nPFX 0x2 4\n", r"line 3: .*adjacent PFX"),
+        ],
+    )
+    def test_invalid_circuit_names_the_line(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            circuit_from_lines(text)
+
+
+@st.composite
+def valid_circuits(draw):
+    """Random valid circuits over all five gate kinds.
+
+    Ancillas are written only by X and by CNOTs from the read-only input
+    register, and each such gate is repeated in reverse at the end, so every
+    ancilla returns to |0>.
+    """
+    eta = draw(st.integers(1, 4))
+    b = draw(st.integers(1, 5))
+    anc = draw(st.integers(0, 2))
+    inputs = list(range(eta))
+    payload = list(range(eta, eta + b))
+    ancillas = list(range(eta + b, eta + b + anc))
+    constant = st.integers(-(1 << b) + 1, (1 << b) - 1)
+    gates, ancilla_writes = [], []
+    for kind in draw(st.lists(st.sampled_from("PACNX"), max_size=14)):
+        if kind == "P":
+            if gates and isinstance(gates[-1], Pfx):
+                continue
+            gate = Pfx(draw(st.integers(1, (1 << eta) - 1)), b)
+        elif kind == "A":
+            gate = Adder(draw(constant), b)
+        elif kind == "C":
+            gate = CAdder(draw(constant), b, draw(st.sampled_from(inputs + ancillas)))
+        elif kind == "N":
+            target = draw(st.sampled_from(payload + ancillas))
+            sources = inputs if target in ancillas else inputs + payload + ancillas
+            gate = Cnot(draw(st.sampled_from([q for q in sources if q != target])), target)
+        else:
+            gate = XGate(draw(st.sampled_from(payload + ancillas)))
+        if getattr(gate, "target", -1) in ancillas:
+            ancilla_writes.append(gate)
+        gates.append(gate)
+    gates.extend(reversed(ancilla_writes))
+    y0 = draw(st.integers(0, (1 << b) - 1))
+    return QromCircuit(eta, b, anc, tuple(gates)), y0
+
+
+@settings(max_examples=150, deadline=None)
+@given(valid_circuits())
+def test_scalar_oracle_and_wire_format_on_every_gate_kind(case):
+    circ, y0 = case
+    table = simulate_table(circ, y0)
+    for x in range(1 << circ.input_width):
+        assert simulate(circ, x, y0) == table[x]
+    text = circuit_to_lines(circ)
+    back = circuit_from_lines(text)
+    assert back == circ
+    assert circuit_to_lines(back) == text
