@@ -12,12 +12,12 @@ from whqrom import molham
 spec = molham.water_spec(n_r=8, n_theta=8)
 print("== spectrum at (n_R, n_theta) = (8, 8) ==")
 system = molham.water_hamiltonian(spec)
-levels = system.eigenvalues()
+levels = system.eigenvalues(spec.grid_size)  # the whole spectrum, by dense eigh
 rel_cm = (levels[:8] - levels[0]) * molham.CM1_PER_HARTREE
 print("lowest levels relative to ground (cm^-1):")
 print(np.round(rel_cm, 2).tolist())
 
-decoupled = molham.water_hamiltonian(spec, decoupled=True).eigenvalues()[:8]
+decoupled = molham.water_hamiltonian(spec, decoupled=True).eigenvalues(8)
 reference = molham.decoupled_reference_levels(spec, 8)
 print(
     "decoupled limit vs separable 1-D sums:",

@@ -315,13 +315,14 @@ def cmd_molham(args) -> dict:
     payload: dict = {"spec": _spec_dict(spec)}
     system = molham.water_hamiltonian(spec)
     if spec.grid_size <= molham.MAX_DENSE_GRID:
-        levels = system.eigenvalues()[: args.levels]
+        levels = system.eigenvalues(args.levels)
         payload["eigenvaluesCm"] = [
             float(v) for v in (levels - levels[0]) * molham.CM1_PER_HARTREE
         ]
     entries = []
+    wh_priced: dict = {}
     for strat in strategies:
-        sc = molham.strategy_cost(system, strat, args.backend)
+        sc = molham.strategy_cost(system, strat, args.backend, wh_priced)
         qpe = molham.qpe_cost(sc.norm.total_cm, sc.report, args.epsilon_cm)
         entries.append(
             {
@@ -338,8 +339,9 @@ def cmd_molham(args) -> dict:
             for eta in args.sweep
             for log2_eps in args.sweep_eps
         ]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        jobs = min(args.jobs, os.cpu_count() or 1)
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 rows = sorted(pool.map(_sweep_job, tasks))
         else:
             rows = sorted(_sweep_job(t) for t in tasks)
@@ -485,7 +487,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--digits", type=int, default=15)
-    p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+    p.add_argument(
+        "--jobs", type=int, default=1, help="worker processes for sweeps, at most the CPU count"
+    )
     p.set_defaults(func=cmd_molham, report="molham")
 
     p = sub.add_parser("fit-scaling", help="regress log2(tau) on eta and log2 log2 1/eps")

@@ -33,10 +33,11 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .errors import ConfigError, RangeError, ShapeError
+from .errors import ConfigError, RangeError, ScaleError, ShapeError
 from .qrom import CostReport
 
 __all__ = [
+    "MAX_POINTS",
     "QuadratureKind",
     "Quadrature",
     "DvrTransform",
@@ -50,6 +51,10 @@ __all__ = [
     "segment_init_cost",
     "export_matrix_csv",
 ]
+
+
+#: Largest quadrature: the polynomial table and the transform are n x n.
+MAX_POINTS = 1024
 
 
 class QuadratureKind(enum.Enum):
@@ -116,6 +121,8 @@ def gauss_quadrature(kind: QuadratureKind | str, n: int) -> Quadrature:
             raise ConfigError(f"unsupported quadrature kind {kind!r}") from exc
     if n < 1:
         raise RangeError(f"point count must be >= 1, got {n}")
+    if n > MAX_POINTS:
+        raise ScaleError(f"point count {n} exceeds the limit MAX_POINTS = {MAX_POINTS}")
     alpha, beta, _ = _jacobi_recurrence(kind, n)
     if n == 1:
         nodes = np.array([alpha[0]])

@@ -36,7 +36,7 @@ import numpy as np
 from scipy.linalg import eigh
 
 from .baseline import optimal_lookup
-from .dvr import QuadratureKind, build_transform, dvr_oracle_cost, gauss_quadrature
+from .dvr import MAX_POINTS, QuadratureKind, build_transform, dvr_oracle_cost, gauss_quadrature
 from .errors import ConfigError, FitError, GridError, RangeError, ScaleError
 from .qrom import CostReport, cost, pair_cancel, synthesize
 from .wht import minimal_truncation, quantize
@@ -66,6 +66,11 @@ __all__ = [
 DALTON_TO_AU = 1822.888486209
 CM1_PER_HARTREE = 219474.6313632
 ANGSTROM_TO_BOHR = 1.8897259886
+
+#: Largest direct-product grid: pes_grid holds grid_size floats and the WH
+#: backend pads that table to a power of two.  Each mode's own basis is
+#: bounded by dvr.MAX_POINTS, since it builds several n x n matrices.
+MAX_GRID_SIZE = 1 << 20
 
 
 class Strategy:
@@ -110,6 +115,12 @@ class ToyMoleculeSpec:
         for i, n in enumerate(self.basis_sizes):
             if n < 2:
                 raise ConfigError(f"basis_sizes[{i}]: must be >= 2, got {n}")
+            if n > MAX_POINTS:
+                raise ScaleError(f"basis_sizes[{i}]: {n} exceeds the per-mode limit {MAX_POINTS}")
+        if self.grid_size > MAX_GRID_SIZE:
+            raise ScaleError(
+                f"basis_sizes: grid size {self.grid_size} exceeds the limit {MAX_GRID_SIZE}"
+            )
         radial = self.radial_count
         if len(self.masses_da) != radial or len(self.freqs_cm) != radial:
             raise ConfigError(
@@ -192,7 +203,7 @@ def spec_from_dict(data: dict) -> ToyMoleculeSpec:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
         return ToyMoleculeSpec(**data)
-    except ConfigError:
+    except (ConfigError, ScaleError):
         raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc
@@ -314,38 +325,73 @@ def frobenius_sq(terms: Sequence[Term], dims: Sequence[int]) -> float:
     return total
 
 
-def sop_matvec(terms: Sequence[Term], dims: Sequence[int], vec: np.ndarray) -> np.ndarray:
-    """H @ vec without assembling H; vec reshaped to the mode tensor."""
-    tensor = vec.reshape(tuple(dims))
-    out = np.zeros_like(tensor)
+def sop_operator(terms: Sequence[Term], dims: Sequence[int]) -> Callable[[np.ndarray], np.ndarray]:
+    """vec -> H @ vec without assembling H; vec is reshaped to the mode tensor.
+
+    Factors are applied mode by mode in term order.  A factor with no
+    nonzero off-diagonal entry is applied as a broadcast multiply by its
+    diagonal, which gives the same products as the matrix contraction.
+    """
+    dims = tuple(dims)
+    plan = []
     for term in terms:
-        cur = tensor
+        steps = []
         for i, f in enumerate(term.factors):
             if f is None:
                 continue
-            cur = np.moveaxis(np.tensordot(np.asarray(f), cur, axes=([1], [i])), 0, i)
-        out = out + cur
-    return out.reshape(-1)
+            f = np.asarray(f)
+            diag = np.diag(f)
+            if np.count_nonzero(f - np.diag(diag)):
+                steps.append((i, f, None))
+            else:
+                shape = [1] * len(dims)
+                shape[i] = dims[i]
+                steps.append((i, None, diag.reshape(shape)))
+        plan.append(steps)
+
+    def matvec(vec: np.ndarray) -> np.ndarray:
+        tensor = np.asarray(vec).reshape(dims)
+        out = np.zeros_like(tensor)
+        for steps in plan:
+            cur = tensor
+            for i, dense, diag in steps:
+                if dense is None:
+                    cur = cur * diag
+                else:
+                    cur = np.moveaxis(np.tensordot(dense, cur, axes=([1], [i])), 0, i)
+            out += cur
+        return out.reshape(-1)
+
+    return matvec
 
 
-def spectral_radius_estimate(
-    terms: Sequence[Term], dims: Sequence[int], iters: int = 60, seed: int = 0
-) -> float:
-    rng = np.random.default_rng(seed)
-    total = 1
-    for n in dims:
-        total *= n
-    vec = rng.normal(size=total)
-    vec /= np.linalg.norm(vec)
-    radius = 0.0
-    for _ in range(iters):
-        nxt = sop_matvec(terms, dims, vec)
-        norm = np.linalg.norm(nxt)
-        if norm == 0:
-            return 0.0
-        radius = norm
-        vec = nxt / norm
-    return float(radius)
+def sop_max_abs(terms: Sequence[Term], dims: Sequence[int]) -> float:
+    """max |H_ij| of the term sum without assembling H.
+
+    H is built one row block per first-mode index: each block adds the same
+    Kronecker products as assemble_dense, in its term order.  A product
+    whose first-mode entry is zero only adds zeros (x + 0.0 == x up to the
+    sign of zero), so it is skipped; the result equals
+    np.max(np.abs(assemble_dense(terms, dims))) exactly.
+    """
+    width = 1
+    for n in dims[1:]:
+        width *= n
+    inner = []
+    for term in terms:
+        block = np.ones((1, 1))
+        for i in range(len(dims) - 1, 0, -1):
+            block = np.kron(term.factor(i, dims), block)
+        inner.append((term.factor(0, dims), block))
+    rows = np.empty((width, dims[0] * width))
+    best = 0.0
+    for r in range(dims[0]):
+        rows[:] = 0.0
+        for first, block in inner:
+            for c in np.flatnonzero(first[r]):
+                rows[:, c * width : (c + 1) * width] += first[r, c] * block
+        best = max(best, float(np.max(np.abs(rows))))
+    return best
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +430,24 @@ class WaterSystem:
             t_full = np.kron(mode.t, t_full)
         return t_full.T @ self.h_dvr() @ t_full
 
-    def eigenvalues(self) -> np.ndarray:
-        return eigh(self.h_dvr(), eigvals_only=True)
+    def eigenvalues(self, count: int) -> np.ndarray:
+        """The lowest ``count`` levels in Hartree, ascending.
+
+        They come from Lanczos (ARPACK, converged to machine precision) on
+        the term operator, from a seeded start vector that is not confined
+        to either exchange-symmetry sector.  When ARPACK's Lanczos basis
+        would span the whole grid (n <= max(2 count + 1, 20), which
+        includes every request for the whole spectrum), dense eigh of
+        h_dvr is used instead: it needs no more memory there and is much
+        faster.  Fewer than ``count`` levels come back when the grid has
+        fewer points.
+        """
+        n = self.spec.grid_size
+        if count < 1:
+            raise RangeError(f"level count must be at least 1, got {count}")
+        if n <= max(2 * count + 1, 20):
+            return eigh(self.h_dvr(), eigvals_only=True)[:count]
+        return _lowest_levels(sop_operator(self.terms, self.dims), n, count)
 
     def pes_grid(self) -> np.ndarray:
         """PES values on the full direct-product grid (separable sum)."""
@@ -397,6 +459,45 @@ class WaterSystem:
             shape[i] = dims[i]
             out = out + v.reshape(shape)
         return out.reshape(total)
+
+
+def _lowest_levels(matvec: Callable, n: int, count: int) -> np.ndarray:
+    """Lowest ``count`` eigenvalues of a symmetric n x n operator, ascending.
+
+    Lanczos from one start vector sees a single direction of each
+    eigenspace, so it can miss the second copy of a degenerate level
+    (separable systems, such as the decoupled limit or two equal
+    uncoupled stretches, have many).  Any level it missed is an eigenvalue
+    of the operator on the complement of the vectors found, so the lowest
+    level there is computed as well; while it lies below the highest level
+    found it takes that level's place, and the check repeats.
+    """
+    # imported here so that the table commands do not pay for ARPACK at start-up
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    v0 = np.random.default_rng(0).standard_normal(n)
+    levels, vecs = eigsh(
+        LinearOperator((n, n), matvec=matvec, dtype=np.float64), k=count, which="SA", tol=0, v0=v0
+    )
+    while True:
+        order = np.argsort(levels)
+        levels, vecs = levels[order], vecs[:, order]
+        top = levels[-1]
+
+        # H on the complement of span(q); span(q) itself is lifted above top
+        def complement(x, q=vecs, lifted=top + 1.0):
+            x = np.asarray(x).reshape(-1)
+            c = q.T @ x
+            y = matvec(x - q @ c)
+            return y - q @ (q.T @ y) + lifted * (q @ c)
+
+        low, vec = eigsh(
+            LinearOperator((n, n), matvec=complement, dtype=np.float64),
+            k=1, which="SA", tol=0, v0=v0,
+        )
+        if low[0] >= top:
+            return levels
+        levels[-1], vecs[:, -1] = low[0], vec[:, 0]
 
 
 def _water_pes_parts(spec: ToyMoleculeSpec, radials, bend) -> dict:
@@ -645,7 +746,7 @@ def norm_estimates(system: WaterSystem, strategy: str) -> NormEstimate:
 
     if strategy == Strategy.FULL_DVR:
         if n_grid <= MAX_DENSE_GRID:
-            h_max = float(np.max(np.abs(system.h_dvr())))
+            h_max = sop_max_abs(system.terms, dims)
         else:
             h_max = sum(_term_max_norm(t, dims) for t in system.terms)
         rho = full_dvr_sparsity(spec)
@@ -799,7 +900,20 @@ class _WhBackend(_SelectSwapBackend):
     arccos-free load stays well-conditioned); a single QROM call implements
     the diagonal unitary through phase kickback.  Calls without data use
     the SELECT-SWAP model, so cost tables stay total functions.
+
+    ``priced`` maps each table's float64 bytes to its cost, so a table that
+    several rows or strategies load is synthesized once; it lives as long
+    as the caller keeps it, normally one request.
     """
+
+    def __init__(self, priced: dict | None = None):
+        self.priced = {} if priced is None else priced
+
+    def _table_cost(self, data):
+        key = np.asarray(data, dtype=np.float64).tobytes()
+        if key not in self.priced:
+            self.priced[key] = self._wh_cost(data)
+        return self.priced[key]
 
     @staticmethod
     def _wh_cost(values: np.ndarray):
@@ -818,15 +932,12 @@ class _WhBackend(_SelectSwapBackend):
     def c_q(self, n_entries: int, bits: int, data=None):
         if data is None:
             return super().c_q(n_entries, bits)
-        return self._wh_cost(data)
+        return self._table_cost(data)
 
     def c_d(self, n_entries: int, data=None):
         if data is None:
             return super().c_d(n_entries)
-        return self._wh_cost(data)
-
-
-_BACKENDS = {Backend.SELECT_SWAP: _SelectSwapBackend, Backend.WH: _WhBackend}
+        return self._table_cost(data)
 
 
 #: Explicit constant for every O(log2 N) control/O_F tail: 4 Toffoli per qubit.
@@ -834,21 +945,35 @@ LOG_TAIL_TOFFOLI_PER_QUBIT = 4
 
 
 def strategy_cost(
-    system: WaterSystem, strategy: str, backend: str = Backend.SELECT_SWAP
+    system: WaterSystem,
+    strategy: str,
+    backend: str = Backend.SELECT_SWAP,
+    wh_priced: dict | None = None,
 ) -> StrategyCost:
     """T-count table for one encoding strategy of a built system.
 
     SELECT_SWAP prices lookups by the Toffoli-optimal lambda; WH prices the
     loads that carry term data by synthesizing the actual spectra of the
-    sampled values.  The O(log) control tails are booked as exactly
+    sampled values.  ``wh_priced`` is the WH backend's table-cost memo (see
+    _WhBackend); pass one dict to every call of a request to synthesize each
+    distinct table once.  The O(log) control tails are booked as exactly
     LOG_TAIL_TOFFOLI_PER_QUBIT Toffoli per involved qubit.  The row's norm
     estimate is returned on the result as ``norm``.
+
+    In a water-form (bend) spec each stretch load is priced with its own
+    mode's size and table.  The loads follow the H_eff terms: the four
+    radial momentum loads are P1 in kin_r1, stretch_cross and
+    stretch_bend_1 and P2 in stretch_cross; the 1/R load is the 1/R2 of
+    stretch_bend_1; two-stretch tables span n_r1 n_r2 points.
     """
     if strategy not in Strategy.ALL:
         raise ConfigError(f"unknown strategy {strategy!r}")
-    if backend not in _BACKENDS:
+    if backend == Backend.WH:
+        be = _WhBackend(wh_priced)
+    elif backend == Backend.SELECT_SWAP:
+        be = _SelectSwapBackend()
+    else:
         raise ConfigError(f"unknown backend {backend!r}")
-    be = _BACKENDS[backend]()
     spec = system.spec
     n_grid = spec.grid_size
     log_n = max(1, math.ceil(math.log2(n_grid)))
@@ -863,6 +988,16 @@ def strategy_cost(
         total_depth += int(depth)
         max_anc = max(max_anc, int(anc))
         breakdown.append((name, int(t), int(anc)))
+
+    def book_loads(calls):
+        """Book (row, count, entries, data) diagonal loads; a repeated row sums."""
+        rows = {}
+        for name, count, size, data in calls:
+            t, depth, anc = be.c_d(size, data)
+            pt, pd, pa = rows.get(name, (0, 0, 0))
+            rows[name] = (pt + count * t, pd + count * depth, max(pa, anc))
+        for name, (t, depth, anc) in rows.items():
+            book(name, t, depth, anc)
 
     if strategy == Strategy.LCU_FBR:
         n_paulis = 0.75 * n_grid**2 * log_n
@@ -888,30 +1023,29 @@ def strategy_cost(
         book("o_f", tf, df, af)
     elif strategy == Strategy.SEPARATE_DVR:
         if spec.has_bend:
-            n_r, _, n_th = spec.basis_sizes
+            n_r1, n_r2, n_th = spec.basis_sizes
             calls = [
-                ("g_r2r2theta2", 2, n_r * n_r * n_th * n_th, None),
+                ("g_r2r2theta2", 2, n_r1 * n_r2 * n_th * n_th, None),
                 ("g_full_grid", 1, n_grid, _data(system, "pes")),
-                ("g_r2", 6, n_r * n_r, None),
+                ("g_r2", 6, n_r1 * n_r2, None),
                 ("g_theta2", 2, n_th * n_th, None),
                 ("g_theta", 1, n_th, _data(system, "sin")),
-                ("g_r", 1, n_r, _data(system, "inv_r")),
+                ("g_r", 1, n_r2, _data(system, "inv_r", 1)),
             ]
         else:
             calls = [(f"mode_{i}", 1, n * n, None) for i, n in enumerate(spec.basis_sizes)]
             calls.append(("pes", 1, n_grid, _data(system, "pes")))
-        for name, count, size, data in calls:
-            t, depth, anc = be.c_d(size, data)
-            book(name, count * t, count * depth, anc)
+        book_loads(calls)
         book("log_tail", 4 * LOG_TAIL_TOFFOLI_PER_QUBIT * log_n, 0, log_n)
     else:  # FBR_DVR
         if spec.has_bend:
-            n_r, _, n_th = spec.basis_sizes
+            n_r1, n_r2, n_th = spec.basis_sizes
             calls = [
-                ("momentum_r", 4, 2 * n_r, _data(system, "p_radial")),
+                ("momentum_r", 3, 2 * n_r1, _data(system, "p_radial", 0)),
+                ("momentum_r", 1, 2 * n_r2, _data(system, "p_radial", 1)),
                 ("momentum_theta", 4, n_th * n_th // 2, _data(system, "p_bend")),
                 ("sin_theta", 3, n_th, _data(system, "sin")),
-                ("inv_r", 1, n_r, _data(system, "inv_r")),
+                ("inv_r", 1, n_r2, _data(system, "inv_r", 1)),
                 ("pes", 1, n_grid, _data(system, "pes")),
             ]
         else:
@@ -920,9 +1054,7 @@ def strategy_cost(
                 for i, n in enumerate(spec.basis_sizes)
             ]
             calls.append(("pes", 1, n_grid, _data(system, "pes")))
-        for name, count, size, data in calls:
-            t, depth, anc = be.c_d(size, data)
-            book(name, count * t, count * depth, anc)
+        book_loads(calls)
         tables = _arcsin_tables(system)
 
         def coster(i: int, n_entries: int, d: int) -> CostReport:

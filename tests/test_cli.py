@@ -200,6 +200,57 @@ class TestMolham:
         assert run(tmp_path, "molham") == 0
         assert len(builds) == 1
 
+    def test_wh_request_prices_each_distinct_table_once(self, tmp_path, monkeypatch):
+        from whqrom import molham
+
+        system = molham.water_hamiltonian(molham.water_spec())
+        fresh = [
+            molham.strategy_cost(system, s, molham.Backend.WH).to_json_dict()
+            for s in molham.Strategy.ALL
+        ]
+        priced = []
+        wh_cost = molham._WhBackend._wh_cost
+
+        def counting(values):
+            priced.append(values)
+            return wh_cost(values)
+
+        monkeypatch.setattr(molham._WhBackend, "_wh_cost", staticmethod(counting))
+        assert run(tmp_path, "molham", "--backend", "WH") == 0
+        assert len(priced) == 7
+        report = json.loads((tmp_path / "molham.json").read_text())
+        assert [row["blockEncoding"] for row in report["strategies"]] == json.loads(
+            json.dumps(fresh)
+        )
+
+    def test_jobs_are_clamped_to_the_cpu_count(self, tmp_path, monkeypatch):
+        from whqrom import cli
+
+        pools = []
+
+        class RecordingPool:
+            """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        base = ["molham", "--strategy", "LCU_FBR", "--sweep", "6", "--sweep-eps", "6"]
+        assert run(tmp_path, *base, "--jobs", "64") == 0
+        assert run(tmp_path, *base, "--jobs", "2") == 0
+        assert run(tmp_path, *base, "--jobs", "1") == 0
+        assert pools == [3, 2]
+
     def test_config_error_field_path(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"
         cfg.write_text("basis_sizes: [8, 8, 8]\nmasses_da: [-1.0, 1.0]\nfreqs_cm: [100, 100]\n")
@@ -245,6 +296,9 @@ class TestFailureContract:
             (["molham", "--levels", "0"], None, 2),
             (["molham", "--config", "{f}"], "basis_sizes: oops\nmasses_da: [1]\nfreqs_cm: [1]\n", 2),
             (["molham", "--strategy", "LCU_FBR", "--sweep", "4", "--dims", "-1"], None, 2),
+            (["molham", "--config", "{f}"], "basis_sizes: [1025, 8, 8]\nmasses_da: [1, 1]\nfreqs_cm: [1, 1]\n", 2),
+            (["molham", "--config", "{f}"], "basis_sizes: [1024, 1024, 2]\nmasses_da: [1, 1]\nfreqs_cm: [1, 1]\n", 2),
+            (["dvr-check", "--n", "1025"], None, 2),
             (["fit-scaling", "--input", "{f}"], "eta,epsilon,tau\n2,0.5,0\n4,0.1,1\n6,0.01,2\n", 2),
             (["fit-scaling", "--input", "{f}"], "eta,epsilon,tau\n2,nan,1\n4,0.1,1\n6,0.01,2\n", 2),
         ],

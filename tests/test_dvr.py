@@ -16,7 +16,7 @@ from whqrom.dvr import (
     recursion_columns,
     segment_init_cost,
 )
-from whqrom.errors import ConfigError, RangeError, ShapeError
+from whqrom.errors import ConfigError, RangeError, ScaleError, ShapeError
 from whqrom.qrom import CostReport
 
 
@@ -77,6 +77,12 @@ class TestQuadrature:
     def test_bad_count(self):
         with pytest.raises(RangeError):
             gauss_quadrature("legendre", 0)
+
+    def test_scale_guard(self):
+        from whqrom.dvr import MAX_POINTS
+
+        with pytest.raises(ScaleError, match="MAX_POINTS"):
+            gauss_quadrature("hermite", MAX_POINTS + 1)
 
 
 class TestTransform:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from whqrom.errors import ConfigError, FitError, GridError, ScaleError
+from whqrom.errors import ConfigError, FitError, GridError, RangeError, ScaleError
 from whqrom.molham import (
     ANGSTROM_TO_BOHR,
     Backend,
@@ -24,8 +24,9 @@ from whqrom.molham import (
     norm_estimates,
     qpe_cost,
     radial_mode,
+    sop_max_abs,
+    sop_operator,
     spec_from_dict,
-    spectral_radius_estimate,
     strategy_cost,
     water_hamiltonian,
     water_spec,
@@ -59,6 +60,19 @@ class TestSpecValidation:
         with pytest.raises(ConfigError, match="unknown config keys"):
             spec_from_dict({"basis_sizes": (4,), "masses_da": (1,), "freqs_cm": (1,), "zzz": 2})
 
+    def test_size_guards_raise_at_parse(self):
+        from whqrom.dvr import MAX_POINTS
+        from whqrom.molham import MAX_GRID_SIZE
+
+        base = dict(masses_da=(1.0, 1.0), freqs_cm=(100.0, 100.0))
+        with pytest.raises(ScaleError, match="per-mode limit"):
+            ToyMoleculeSpec(basis_sizes=(MAX_POINTS + 1, 8, 8), **base)
+        assert 1024 * 1024 * 2 > MAX_GRID_SIZE
+        with pytest.raises(ScaleError, match="grid size"):
+            ToyMoleculeSpec(basis_sizes=(1024, 1024, 2), **base)
+        with pytest.raises(ScaleError):
+            spec_from_dict({"basis_sizes": (1024, 1024, 2), **base})
+
     def test_radial_grid_guard(self):
         # tiny r0 pushes Hermite nodes below zero
         with pytest.raises(GridError):
@@ -71,13 +85,13 @@ class TestWaterHamiltonian:
         assert np.max(np.abs(h - h.T)) < 1e-12
 
     def test_fbr_dvr_eigenvalue_agreement(self, small_system):
-        e_dvr = small_system.eigenvalues()
+        e_dvr = small_system.eigenvalues(small_system.spec.grid_size)
         e_fbr = eigh(small_system.h_fbr(), eigvals_only=True)
         assert np.max(np.abs(e_dvr - e_fbr)) < 1e-8
 
     def test_decoupled_limit_matches_1d_sums(self, small_water):
         system = water_hamiltonian(small_water, decoupled=True)
-        got = system.eigenvalues()[:12]
+        got = system.eigenvalues(12)
         ref = decoupled_reference_levels(small_water, 12)
         assert np.max(np.abs((got - ref) / np.abs(ref))) < 1e-6
 
@@ -97,12 +111,12 @@ class TestWaterHamiltonian:
         # regime the ground state is non-increasing along both sweeps
         previous = math.inf
         for n_theta in (14, 16, 18, 20):
-            ground = water_hamiltonian(water_spec(n_r=14, n_theta=n_theta)).eigenvalues()[0]
+            ground = water_hamiltonian(water_spec(n_r=14, n_theta=n_theta)).eigenvalues(1)[0]
             assert ground <= previous + 1e-12
             previous = ground
         previous = math.inf
         for n_r in (8, 10, 12, 14):
-            ground = water_hamiltonian(water_spec(n_r=n_r, n_theta=16)).eigenvalues()[0]
+            ground = water_hamiltonian(water_spec(n_r=n_r, n_theta=16)).eigenvalues(1)[0]
             assert ground <= previous + 1e-12
             previous = ground
 
@@ -115,7 +129,7 @@ class TestWaterHamiltonian:
         spec = ToyMoleculeSpec(
             basis_sizes=(16,), masses_da=(1.0,), freqs_cm=(2000.0,), r0_angstrom=3.0
         )
-        levels = water_hamiltonian(spec).eigenvalues()
+        levels = water_hamiltonian(spec).eigenvalues(6)
         omega = 2000.0 / CM1_PER_HARTREE
         expected = omega * (np.arange(6) + 0.5)
         assert np.allclose(levels[:6], expected, rtol=1e-8)
@@ -124,8 +138,8 @@ class TestWaterHamiltonian:
         base = dict(masses_da=(1.0, 1.0), freqs_cm=(2000.0, 2000.0), r0_angstrom=3.0)
         free = ToyMoleculeSpec(basis_sizes=(8, 8), **base)
         coupled = ToyMoleculeSpec(basis_sizes=(8, 8), coupling_mass_da=2.0, **base)
-        e_free = water_hamiltonian(free).eigenvalues()
-        e_coupled = water_hamiltonian(coupled).eigenvalues()
+        e_free = water_hamiltonian(free).eigenvalues(4)
+        e_coupled = water_hamiltonian(coupled).eigenvalues(4)
         assert not np.allclose(e_free[:4], e_coupled[:4])
 
 
@@ -136,11 +150,101 @@ class TestSop:
             float(np.sum(h * h)), rel=1e-10
         )
 
-    def test_power_iteration_matches_dense(self, small_system):
-        h = small_system.h_dvr()
-        dense_radius = float(np.max(np.abs(eigh(h, eigvals_only=True))))
-        est = spectral_radius_estimate(small_system.terms, small_system.dims, iters=200)
-        assert est == pytest.approx(dense_radius, rel=1e-3)
+
+def _tensordot_matvec(terms, dims, vec):
+    """The term matvec with every factor applied as a matrix contraction."""
+    tensor = vec.reshape(tuple(dims))
+    out = np.zeros_like(tensor)
+    for term in terms:
+        cur = tensor
+        for i, f in enumerate(term.factors):
+            if f is not None:
+                cur = np.moveaxis(np.tensordot(np.asarray(f), cur, axes=([1], [i])), 0, i)
+        out = out + cur
+    return out.reshape(-1)
+
+
+_CHAIN = dict(masses_da=(1.0, 1.0), freqs_cm=(2000.0, 2000.0), r0_angstrom=3.0)
+
+#: (spec, decoupled) pairs covering the water form, its separable limit
+#: (many exactly degenerate levels) and coupled or degenerate radial chains.
+MATRIX_FREE_SYSTEMS = [
+    (water_spec(n_r=8, n_theta=8), False),
+    (water_spec(n_r=8, n_theta=8), True),
+    (water_spec(n_r=6, n_theta=12), False),
+    (ToyMoleculeSpec(basis_sizes=(8, 16), coupling_mass_da=2.0, **_CHAIN), False),
+    (ToyMoleculeSpec(basis_sizes=(8, 8), **_CHAIN), False),
+    (
+        ToyMoleculeSpec(
+            basis_sizes=(32,), masses_da=(1.0,), freqs_cm=(2000.0,), r0_angstrom=3.0
+        ),
+        False,
+    ),
+]
+
+
+class TestMatrixFree:
+    @pytest.mark.parametrize("spec, decoupled", MATRIX_FREE_SYSTEMS)
+    def test_lanczos_levels_match_dense(self, spec, decoupled):
+        system = water_hamiltonian(spec, decoupled=decoupled)
+        dense = eigh(system.h_dvr(), eigvals_only=True)
+        for count in (1, 7, 8, 12):
+            got = system.eigenvalues(count)
+            assert got.shape == (count,)
+            assert np.max(np.abs(got - dense[:count])) <= 1e-12
+
+    def test_lanczos_finds_the_exchange_antisymmetric_level(self, small_system):
+        # level 6 of the 8x8x8 water toy is odd under r1 <-> r2, so a start
+        # vector inside the symmetric sector would miss it
+        _, vecs = eigh(small_system.h_dvr())
+        level6 = vecs[:, 6].reshape(small_system.dims)
+        assert np.allclose(np.transpose(level6, (1, 0, 2)), -level6)
+        dense = eigh(small_system.h_dvr(), eigvals_only=True)
+        assert abs(small_system.eigenvalues(8)[6] - dense[6]) <= 1e-12
+
+    def test_lanczos_keeps_degenerate_copies(self, small_water):
+        # the separable limit has pairs of equal levels; every copy is kept
+        system = water_hamiltonian(small_water, decoupled=True)
+        dense = eigh(system.h_dvr(), eigvals_only=True)
+        for count in range(1, 21):
+            assert np.max(np.abs(system.eigenvalues(count) - dense[:count])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            water_spec(n_r=2, n_theta=2),
+            ToyMoleculeSpec(
+                basis_sizes=(8,), masses_da=(1.0,), freqs_cm=(2000.0,), r0_angstrom=3.0
+            ),
+        ],
+    )
+    def test_whole_spectrum_is_dense(self, spec):
+        system = water_hamiltonian(spec)
+        dense = eigh(system.h_dvr(), eigvals_only=True)
+        for count in (spec.grid_size, spec.grid_size + 3):
+            assert np.array_equal(system.eigenvalues(count), dense)
+
+    def test_level_count_must_be_positive(self, small_system):
+        with pytest.raises(RangeError):
+            small_system.eigenvalues(0)
+
+    @pytest.mark.parametrize("spec, decoupled", MATRIX_FREE_SYSTEMS)
+    def test_row_block_norm_equals_dense(self, spec, decoupled):
+        system = water_hamiltonian(spec, decoupled=decoupled)
+        for terms in (system.terms, system.terms_eff):
+            dense = float(np.max(np.abs(assemble_dense(terms, system.dims))))
+            assert sop_max_abs(terms, system.dims) == dense
+
+    @pytest.mark.parametrize(
+        "spec, decoupled", MATRIX_FREE_SYSTEMS + [(water_spec(n_r=12, n_theta=14), False)]
+    )
+    def test_matvec_is_bit_identical_to_contraction(self, spec, decoupled):
+        system = water_hamiltonian(spec, decoupled=decoupled)
+        matvec = sop_operator(system.terms, system.dims)
+        vec = np.random.default_rng(3).standard_normal(spec.grid_size)
+        want = _tensordot_matvec(system.terms, system.dims, vec)
+        assert matvec(vec).tobytes() == want.tobytes()
+        assert np.allclose(want, system.h_dvr() @ vec, rtol=0, atol=1e-12)
 
 
 class TestNormEstimates:
@@ -187,7 +291,7 @@ class TestNormEstimates:
         assert norms["jxy"] >= float(np.linalg.norm(jx, 2))
 
     def test_zeta_dominates_spectral_radius(self, small_system):
-        radius = float(np.max(np.abs(small_system.eigenvalues())))
+        radius = float(np.max(np.abs(small_system.eigenvalues(small_system.spec.grid_size))))
         for strategy in Strategy.ALL:
             estimate = norm_estimates(small_system, strategy)
             assert estimate.total_au >= radius
@@ -285,6 +389,67 @@ class TestStrategyCost:
             vals = np.abs(mode.c_fbr[np.nonzero(mode.c_fbr)])
             table = np.arccos(np.sqrt(vals / vals.max())) / math.pi
             assert booked[f"momentum_r{i + 1}"] == 2 * _WhBackend._wh_cost(table)[0]
+
+    def test_equal_stretch_rows_keep_their_totals(self, small_system):
+        booked = dict(
+            (name, t)
+            for name, t, _ in strategy_cost(small_system, Strategy.FBR_DVR).breakdown
+        )
+        assert booked["momentum_r"] == 14552
+        assert booked["inv_r"] == 3574
+
+    @pytest.mark.parametrize("sizes", [(8, 16, 8), (16, 8, 8)])
+    def test_bend_spec_prices_each_stretch(self, sizes):
+        import dataclasses
+
+        from whqrom.molham import _SelectSwapBackend, _WhBackend
+
+        system = water_hamiltonian(dataclasses.replace(water_spec(), basis_sizes=sizes))
+        n_r1, n_r2, n_th = sizes
+        model = _SelectSwapBackend()
+
+        def booked(strategy, backend=Backend.SELECT_SWAP):
+            sc = strategy_cost(system, strategy, backend)
+            return dict((name, t) for name, t, _ in sc.breakdown)
+
+        fbr = booked(Strategy.FBR_DVR)
+        assert fbr["momentum_r"] == 3 * model.c_d(2 * n_r1)[0] + model.c_d(2 * n_r2)[0]
+        assert fbr["inv_r"] == model.c_d(n_r2)[0]
+        sep = booked(Strategy.SEPARATE_DVR)
+        assert sep["g_r2r2theta2"] == 2 * model.c_d(n_r1 * n_r2 * n_th * n_th)[0]
+        assert sep["g_r2"] == 6 * model.c_d(n_r1 * n_r2)[0]
+        assert sep["g_r"] == model.c_d(n_r2)[0]
+
+        def momentum_table(mode):
+            vals = np.abs(mode.c_fbr[np.nonzero(mode.c_fbr)])
+            return np.arccos(np.sqrt(vals / vals.max())) / math.pi
+
+        r1, r2, _ = system.modes
+        wh = booked(Strategy.FBR_DVR, Backend.WH)
+        assert wh["momentum_r"] == (
+            3 * _WhBackend._wh_cost(momentum_table(r1))[0]
+            + _WhBackend._wh_cost(momentum_table(r2))[0]
+        )
+        assert wh["inv_r"] == _WhBackend._wh_cost(1.0 / r2.nodes_r)[0]
+
+    def test_wh_tables_are_priced_once_per_memo(self, small_system, monkeypatch):
+        from whqrom.molham import _WhBackend
+
+        fresh = {s: strategy_cost(small_system, s, Backend.WH) for s in Strategy.ALL}
+        priced = []
+        wh_cost = _WhBackend._wh_cost
+
+        def counting(values):
+            priced.append(np.asarray(values).size)
+            return wh_cost(values)
+
+        monkeypatch.setattr(_WhBackend, "_wh_cost", staticmethod(counting))
+        memo = {}
+        for strategy in Strategy.ALL:
+            sc = strategy_cost(small_system, strategy, Backend.WH, memo)
+            assert sc.to_json_dict() == fresh[strategy].to_json_dict()
+        # pes, sin, 1/R, P_R, P_u and the arcsin(T) tables of R and theta
+        assert len(priced) == len(memo) == 7
 
     def test_json_round_trip(self, small_system):
         sc = strategy_cost(small_system, Strategy.SEPARATE_DVR)
