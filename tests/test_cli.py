@@ -296,11 +296,11 @@ class TestFailureContract:
             (["molham", "--levels", "0"], None, 2),
             (["molham", "--config", "{f}"], "basis_sizes: oops\nmasses_da: [1]\nfreqs_cm: [1]\n", 2),
             (["molham", "--strategy", "LCU_FBR", "--sweep", "4", "--dims", "-1"], None, 2),
+            (["fit-scaling", "--input", "{f}"], "eta,epsilon,tau\n2,0.5,0\n4,0.1,1\n6,0.01,2\n", 2),
+            (["fit-scaling", "--input", "{f}"], "eta,epsilon,tau\n2,nan,1\n4,0.1,1\n6,0.01,2\n", 2),
             (["molham", "--config", "{f}"], "basis_sizes: [1025, 8, 8]\nmasses_da: [1, 1]\nfreqs_cm: [1, 1]\n", 2),
             (["molham", "--config", "{f}"], "basis_sizes: [1024, 1024, 2]\nmasses_da: [1, 1]\nfreqs_cm: [1, 1]\n", 2),
             (["dvr-check", "--n", "1025"], None, 2),
-            (["fit-scaling", "--input", "{f}"], "eta,epsilon,tau\n2,0.5,0\n4,0.1,1\n6,0.01,2\n", 2),
-            (["fit-scaling", "--input", "{f}"], "eta,epsilon,tau\n2,nan,1\n4,0.1,1\n6,0.01,2\n", 2),
         ],
     )
     def test_malformed_input_exits_cleanly(self, tmp_path, capsys, argv, file, code):
