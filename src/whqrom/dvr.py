@@ -38,6 +38,7 @@ from .qrom import CostReport
 
 __all__ = [
     "MAX_POINTS",
+    "MAX_HERMITE_POINTS",
     "QuadratureKind",
     "Quadrature",
     "DvrTransform",
@@ -55,6 +56,13 @@ __all__ = [
 
 #: Largest quadrature: the polynomial table and the transform are n x n.
 MAX_POINTS = 1024
+
+#: Largest Gauss-Hermite rule.  The outermost weight is about
+#: exp(-x_max**2) with x_max near sqrt(2n); it falls below the float64 range
+#: (1 / sum_j p_j**2 overflows) from about n = 371.  At the cap it is about
+#: 1e-299, a margin of nine decades for rounding that differs between LAPACK
+#: builds.
+MAX_HERMITE_POINTS = 360
 
 
 class QuadratureKind(enum.Enum):
@@ -123,6 +131,11 @@ def gauss_quadrature(kind: QuadratureKind | str, n: int) -> Quadrature:
         raise RangeError(f"point count must be >= 1, got {n}")
     if n > MAX_POINTS:
         raise ScaleError(f"point count {n} exceeds the limit MAX_POINTS = {MAX_POINTS}")
+    if kind is QuadratureKind.HERMITE and n > MAX_HERMITE_POINTS:
+        raise ScaleError(
+            f"Hermite point count {n} exceeds the limit MAX_HERMITE_POINTS = "
+            f"{MAX_HERMITE_POINTS}: the outermost weights underflow float64 beyond it"
+        )
     alpha, beta, _ = _jacobi_recurrence(kind, n)
     if n == 1:
         nodes = np.array([alpha[0]])

@@ -18,6 +18,8 @@ set bit; T count = 4 * workspace ancillas):
     PFX_z CNOTs      2 * (h(z) - 1) + b       [fan-in tree + fanout + mirror]
 
 1 Toffoli = 4 T throughout.  Quantum volume = T count * qubit count.
+T depth = Toffoli count: only adders carry T gates and every adder acts on
+the payload register, so no two of them can share a Toffoli layer.
 """
 
 from __future__ import annotations
@@ -65,15 +67,13 @@ class Ordering(enum.Enum):
 #
 # Each gate kind defines everything about itself in one class:
 #   op, text(), parse(fields)   its wire token, line and field parser
-#   resources()                 (t, cnots, other_cliffords, workspace, keys)
-#                               for cost(); T depth is t // 4 on the keys
+#   resources()                 (t, cnots, other_cliffords, workspace) for
+#                               cost()
 #   step(regs, eta, b)          scalar step on ints, for simulate()
 #   vstep(regs, eta, b)         branch-free step on int64 arrays, for
 #                               simulate_table()
 #   fault(eta, b, total)        the circuit rule it breaks, or None
 # ---------------------------------------------------------------------------
-
-_PAYLOAD = ("Y",)
 
 
 def _locate(q: int, eta: int, b: int) -> tuple[int, int]:
@@ -137,8 +137,7 @@ class Pfx(_Gate):
         return 2 * (self.mask.bit_count() - 1) + self.width
 
     def resources(self):
-        inputs = tuple(("q", i) for i in range(self.mask.bit_length()) if self.mask >> i & 1)
-        return 0, self.cnots, 0, 0, _PAYLOAD + inputs
+        return 0, self.cnots, 0, 0
 
     def step(self, regs, eta, b):
         if (regs[0] & self.mask).bit_count() & 1:
@@ -176,7 +175,7 @@ class Adder(_Gate):
 
     def resources(self):
         workspace = _adder_workspace(self.k, self.width, 0)
-        return 4 * workspace, 0, 0, workspace, _PAYLOAD
+        return 4 * workspace, 0, 0, workspace
 
     def step(self, regs, eta, b):
         regs[1] = (regs[1] + self.k) & ((1 << b) - 1)
@@ -206,7 +205,7 @@ class CAdder(_Gate):
 
     def resources(self):
         workspace = _adder_workspace(self.k, self.width, 1)
-        return 4 * workspace, 0, 0, workspace, _PAYLOAD + (("q", self.control),)
+        return 4 * workspace, 0, 0, workspace
 
     def step(self, regs, eta, b):
         reg, bit = _locate(self.control, eta, b)
@@ -234,7 +233,7 @@ class Cnot(_Gate):
     target: int
 
     def resources(self):
-        return 0, 1, 0, 0, (("q", self.control), ("q", self.target))
+        return 0, 1, 0, 0
 
     def step(self, regs, eta, b):
         reg, bit = _locate(self.control, eta, b)
@@ -262,7 +261,7 @@ class XGate(_Gate):
     target: int
 
     def resources(self):
-        return 0, 0, 1, 0, (("q", self.target),)
+        return 0, 0, 1, 0
 
     def step(self, regs, eta, b):
         reg, bit = _locate(self.target, eta, b)
@@ -467,27 +466,24 @@ class CostReport:
 
 
 def cost(circuit: QromCircuit) -> CostReport:
-    """Sum per-gate costs; T depth by greedy layering of commuting blocks.
+    """Sum per-gate costs; the T depth equals the Toffoli count.
 
-    Gates sharing a register serialize; each adder occupies the payload for
-    its own Toffoli depth (the carry ripple), Cliffords take zero T depth.
-    The qubit count is eta + b + allocated ancillas + the widest transient
-    adder workspace.
+    Each adder occupies the payload for its own Toffoli depth (the carry
+    ripple) and Cliffords take zero T depth.  Every T-bearing gate (ADD,
+    CADD) acts on the payload, so the adders serialize on it and no gate
+    can run in a Toffoli layer beside one: greedy layering of the circuit
+    gives exactly t // 4.  The qubit count is eta + b + allocated ancillas
+    + the widest transient adder workspace.
     """
     t = cnot = clifford = max_workspace = 0
-    frontier: dict = {}
     for gate in circuit.gates:
-        gt, gcnot, gcliff, workspace, keys = gate.resources()
+        gt, gcnot, gcliff, workspace = gate.resources()
         t += gt
         cnot += gcnot
         clifford += gcliff + gcnot
         max_workspace = max(max_workspace, workspace)
-        start = max((frontier.get(k, 0) for k in keys), default=0)
-        for k in keys:
-            frontier[k] = start + gt // 4
-    t_depth = max(frontier.values(), default=0)
     qubits = circuit.total_qubits + max_workspace
-    return CostReport.assemble(t, cnot, clifford, qubits, t_depth)
+    return CostReport.assemble(t, cnot, clifford, qubits, t // 4)
 
 
 # ---------------------------------------------------------------------------

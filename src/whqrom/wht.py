@@ -24,6 +24,10 @@ An address at distance D from those arcs therefore keeps failing until
 the retained magnitudes add up to D, so every k before that point is
 skipped without being evaluated; only the k where the skip lands are
 tested, with the same exact test the linear scan runs.
+
+Each test takes the sine only on the addresses nearest a quarter point of
+the circle, the only ones that can hold the maximum; it returns the same
+bits as a pass over every address (``_IncrementalScan.error``).
 """
 
 from __future__ import annotations
@@ -281,7 +285,11 @@ class _IncrementalScan:
     """Walk the truncation order, tracking diag_error(f, g_k) exactly.
 
     The running state is 2**eta * (f - g_k) reduced mod 2**b, updated in
-    O(2**eta) per step, so a scan to k* costs O(k* 2**eta) total.
+    O(2**eta) per step, so a scan to k* costs O(k* 2**eta) total.  The state
+    is reduced by ``&= period - 1``, which is exact because the period 2**b
+    divides 2**64: an int64 wraparound would change a value by a multiple
+    of 2**64 and so leave it unchanged mod 2**b.  (With |c| <= 2**(b-1) and
+    b <= 62 a step stays inside [-2**61, 2**63) and never wraps.)
     """
 
     def __init__(self, f: SampledFunction, coeffs: np.ndarray, order: np.ndarray):
@@ -290,21 +298,46 @@ class _IncrementalScan:
         self.order = order
         self.period = 1 << (f.eta + f.d)
         self.scale = 2.0 * np.pi / float(self.period)
-        self.num = np.mod(
-            np.asarray(f.values, dtype=np.int64) * (1 << f.eta), self.period
-        )
+        self.window = math.ceil(2e-7 * self.period / (2 * math.pi)) + 2
+        self.num = np.asarray(f.values, dtype=np.int64) * (1 << f.eta)
+        self.num &= self.period - 1
+        self.dist = np.empty_like(self.num)
+        self.dist_min = 0
         self.x = np.arange(f.n, dtype=np.uint64)
         self.k = 0
 
     def error(self) -> float:
+        """diag_error(f, g_k), evaluated only where the maximum can be.
+
+        With dist = |num mod 2**(b-1) - 2**(b-2)|, the exact integer distance
+        of an address from the nearer quarter point, |sin(2 pi num / 2**b)|
+        equals cos(2 pi dist / 2**b) and falls as dist grows.  An address more
+        than ``window`` = ceil(2e-7 2**b / (2 pi)) + 2 beyond the smallest
+        dist lies below the maximum by at least 1 - cos(2e-7), about 2e-14 or
+        180 ulp of 1, far above the float error of the angle and the sine (a
+        few ulp), so it cannot hold the float maximum either: the float
+        expression on the addresses inside the window returns the same bits
+        it returns on the whole array.  Leaves the distances in ``dist`` and
+        their minimum in ``dist_min``, which give the skip search its reach.
+        """
         half = self.period >> 1
-        centered = np.where(self.num >= half, self.num - self.period, self.num)
+        dist = np.bitwise_and(self.num, half - 1, out=self.dist)
+        dist -= self.period >> 2
+        np.abs(dist, out=dist)
+        self.dist_min = int(dist.min())
+        near = self.num[dist <= self.dist_min + self.window]
+        centered = np.where(near >= half, near - self.period, near)
         return float(2.0 * np.max(np.abs(np.sin(self.scale * centered))))
 
     def advance(self) -> None:
+        """Retain the next coefficient c: num -= (-1)**<x,z> c, mod 2**b."""
         z = int(self.order[self.k])
-        signs = 1 - 2 * (np.bitwise_count(self.x & np.uint64(z)).astype(np.int64) & 1)
-        self.num = np.mod(self.num - signs * int(self.coeffs[z]), self.period)
+        c = int(self.coeffs[z])
+        parity = np.bitwise_count(self.x & np.uint64(z))
+        parity &= 1
+        self.num -= c
+        self.num += parity * np.int64(2 * c)
+        self.num &= self.period - 1
         self.k += 1
 
 
@@ -345,15 +378,11 @@ def minimal_truncation(f: SampledFunction, epsilon: float) -> TruncatedSpectrum:
     np.cumsum(np.abs(coeffs[order[:nonzero]]), dtype=np.float64, out=cum[1:])
     half_width = period * math.asin(min(1.0, epsilon / 2 + 2.0**-50)) / (2 * math.pi)
     margin = 2.0 + 1e-9 * period + 2.0**-52 * nonzero * cum[-1]
-    dist = np.empty_like(scan.num)
     while scan.error() >= epsilon:
-        # |num mod 2**(b-1) - 2**(b-2)| is how far an address sits from the
-        # point midway between the arc centres, so the farthest address sits
-        # quarter - min(dist) from its nearer centre
-        np.bitwise_and(scan.num, (period >> 1) - 1, out=dist)
-        np.subtract(dist, quarter, out=dist)
-        np.abs(dist, out=dist)
-        reach = quarter - int(dist.min()) - half_width - margin
+        # scan.dist is how far an address sits from the point midway between
+        # the arc centres, so the farthest address sits quarter - dist_min
+        # from its nearer centre
+        reach = quarter - scan.dist_min - half_width - margin
         land = int(np.searchsorted(cum, cum[scan.k] + reach, side="left"))
         land = min(nonzero, max(scan.k + 1, land))
         if land - scan.k > 2 * f.eta:
@@ -370,7 +399,7 @@ def _rebuild(scan: _IncrementalScan, spectrum: WalshSpectrum, k: int) -> None:
     scan.num = None  # free the old state before the butterfly's buffers
     num = TruncatedSpectrum(base=spectrum, k=k, order=scan.order).reconstruction_numerators()
     np.subtract(f.values * (1 << f.eta), num, out=num)
-    np.mod(num, scan.period, out=num)
+    num &= scan.period - 1
     scan.num = num
     scan.k = k
 

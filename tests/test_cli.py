@@ -133,6 +133,35 @@ class TestDvrCheck:
     def test_bad_segment_is_config_error(self, tmp_path):
         assert run(tmp_path, "dvr-check", "--n", "12", "--segment", "8") == 2
 
+    @pytest.mark.parametrize(
+        "kind, n, segment",
+        [
+            ("hermite", 64, 32),
+            ("hermite", 48, 16),
+            ("hermite", 96, 32),
+            ("hermite", 172, 4),
+            ("hermite", 256, 32),
+            ("legendre", 128, 32),
+            ("legendre", 9, 1),
+        ],
+    )
+    def test_default_segment_passes(self, tmp_path, kind, n, segment):
+        # the largest power of two dividing n, at most 32; past n = 134 the
+        # Hermite moments x**k overflow float64 unless taken scaled
+        assert run(tmp_path, "dvr-check", "--kind", kind, "--n", str(n)) == 0
+        report = json.loads((tmp_path / "dvr_check.json").read_text())
+        assert report["segment"] == segment
+        assert report["quadratureMomentError"] < 1e-11
+        assert report["recursionError"] < 1e-8
+
+    def test_hermite_limit_is_a_config_error(self, tmp_path, capsys):
+        from whqrom.dvr import MAX_HERMITE_POINTS
+
+        n = str(MAX_HERMITE_POINTS + 1)
+        assert run(tmp_path, "dvr-check", "--kind", "hermite", "--n", n) == 2
+        err = capsys.readouterr().err
+        assert "MAX_HERMITE_POINTS" in err and "Traceback" not in err
+
     def test_creates_fresh_out_directory(self, tmp_path):
         out = tmp_path / "new" / "dir"
         assert main(["--out", str(out), "dvr-check", "--n", "8"]) == 0

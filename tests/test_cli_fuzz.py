@@ -13,7 +13,7 @@ import traceback
 from pathlib import Path
 
 import numpy as np
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from whqrom.cli import main
 
@@ -188,6 +188,13 @@ commands = st.one_of(
     seed=st.integers(min_value=-1, max_value=5),
     fmt=st.sampled_from(["json", "csv"]),
 )
+# dvr-check sizes beyond the drawn range: the default segment (64, 48), the
+# Hermite moments past float64 overflow (172, 256) and the Hermite limit (372)
+@example(command=(["dvr-check", "--kind", "hermite", "--n", "64"], None), seed=0, fmt="json")
+@example(command=(["dvr-check", "--kind", "hermite", "--n", "48"], None), seed=0, fmt="json")
+@example(command=(["dvr-check", "--kind", "hermite", "--n", "172"], None), seed=0, fmt="json")
+@example(command=(["dvr-check", "--kind", "hermite", "--n", "256"], None), seed=0, fmt="json")
+@example(command=(["dvr-check", "--kind", "hermite", "--n", "372"], None), seed=0, fmt="json")
 def test_cli_exit_code_contract(command, seed, fmt):
     argv, file = command
     with tempfile.TemporaryDirectory() as tmp:

@@ -79,10 +79,15 @@ class TestQuadrature:
             gauss_quadrature("legendre", 0)
 
     def test_scale_guard(self):
-        from whqrom.dvr import MAX_POINTS
+        from whqrom.dvr import MAX_HERMITE_POINTS, MAX_POINTS
 
         with pytest.raises(ScaleError, match="MAX_POINTS"):
             gauss_quadrature("hermite", MAX_POINTS + 1)
+        # the Hermite cap sits below the point where its weights underflow
+        with pytest.raises(ScaleError, match="MAX_HERMITE_POINTS"):
+            gauss_quadrature("hermite", MAX_HERMITE_POINTS + 1)
+        assert gauss_quadrature("hermite", MAX_HERMITE_POINTS).weights.min() > 1e-305
+        assert gauss_quadrature("legendre", MAX_HERMITE_POINTS + 1).n == MAX_HERMITE_POINTS + 1
 
 
 class TestTransform:

@@ -526,3 +526,42 @@ def test_scalar_oracle_and_wire_format_on_every_gate_kind(case):
     back = circuit_from_lines(text)
     assert back == circ
     assert circuit_to_lines(back) == text
+
+
+def frontier_t_depth(circuit):
+    """T depth by greedy layering: a gate starts after every earlier gate
+    sharing a register (the payload as one, other qubits one by one) and
+    holds them for its Toffoli count."""
+    frontier: dict = {}
+    for gate in circuit.gates:
+        if isinstance(gate, Pfx):
+            keys = ["Y"] + [("q", i) for i in range(gate.mask.bit_length()) if gate.mask >> i & 1]
+        elif isinstance(gate, Adder):
+            keys = ["Y"]
+        elif isinstance(gate, CAdder):
+            keys = ["Y", ("q", gate.control)]
+        elif isinstance(gate, Cnot):
+            keys = [("q", gate.control), ("q", gate.target)]
+        else:
+            keys = [("q", gate.target)]
+        start = max((frontier.get(k, 0) for k in keys), default=0)
+        for k in keys:
+            frontier[k] = start + gate.resources()[0] // 4
+    return max(frontier.values(), default=0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(valid_circuits())
+def test_t_depth_equals_greedy_layering(case):
+    circ, _ = case
+    report = cost(circ)
+    assert report.t_depth == frontier_t_depth(circ) == report.toffoli_count
+
+
+def test_t_depth_equals_greedy_layering_on_synthesized_circuits():
+    rng = np.random.default_rng(83)
+    for _ in range(20):
+        f = random_function(rng, int(rng.integers(2, 7)), int(rng.integers(3, 9)))
+        trunc = full_truncation(f)
+        for circ in (synthesize(trunc), pair_cancel(synthesize(trunc), trunc)):
+            assert cost(circ).t_depth == frontier_t_depth(circ)

@@ -3,6 +3,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
+from whqrom import wht
 from whqrom.errors import ParseError, RangeError, ShapeError
 from whqrom.wht import (
     SampledFunction,
@@ -380,6 +381,105 @@ def test_truncation_retains_largest_magnitudes(eta, d, seed, frac):
     dropped = [coeffs[z] for z in clipped.order[k:]]
     if retained and dropped:
         assert min(retained) >= max(dropped)
+
+
+def full_array_error(num, period):
+    """diag_error from the state 2**eta (f - g_k) mod 2**b, over every address."""
+    half = period >> 1
+    centered = np.where(num >= half, num - period, num)
+    return float(2.0 * np.max(np.abs(np.sin(2.0 * np.pi / float(period) * centered))))
+
+
+def _scan(eta, b, coeffs=None, order=None):
+    f = SampledFunction(eta=eta, d=b - eta, values=np.zeros(1 << eta, dtype=np.int64))
+    if coeffs is None:
+        coeffs = np.zeros(1 << eta, dtype=np.int64)
+    if order is None:
+        order = np.arange(1 << eta, dtype=np.int64)
+    return wht._IncrementalScan(f, coeffs, order)
+
+
+@st.composite
+def scan_states(draw):
+    """States for b up to 62, packed on both sides of the quarter points P/4
+    and 3P/4, or of a random r and its images P/2 - r, P/2 + r and P - r,
+    which lie as far from a quarter point as r and so stress the float
+    rounding that the error's window has to cover."""
+    eta = draw(st.integers(min_value=0, max_value=6))
+    b = draw(st.integers(min_value=max(3, eta + 1), max_value=62))
+    period = 1 << b
+    scan = _scan(eta, b)
+    w = scan.window
+    offsets = st.one_of(
+        st.integers(min_value=-4, max_value=4),
+        st.integers(min_value=-1000, max_value=1000),
+        st.integers(min_value=w - 3, max_value=w + 3),
+        st.integers(min_value=-w - 3, max_value=-w + 3),
+        st.integers(min_value=-3 * w, max_value=3 * w),
+    )
+    if draw(st.booleans()):
+        centres = [period >> 2, 3 * (period >> 2)]
+    else:
+        r = draw(st.integers(0, period - 1))
+        centres = [r, (period >> 1) - r, (period >> 1) + r, period - r]
+    point = st.one_of(
+        st.sampled_from(centres).flatmap(lambda c: offsets.map(lambda o: c + o)),
+        st.integers(min_value=0, max_value=period - 1),
+    )
+    values = draw(st.lists(point, min_size=1 << eta, max_size=1 << eta))
+    scan.num = np.array([v % period for v in values], dtype=np.int64)
+    return scan
+
+
+@settings(max_examples=300, deadline=None)
+@given(scan=scan_states())
+def test_windowed_error_equals_full_array_formula(scan):
+    assert scan.error() == full_array_error(scan.num, scan.period)
+    half = scan.period >> 1
+    assert scan.dist_min == min(abs(int(v) % half - (half >> 1)) for v in scan.num)
+
+
+def test_windowed_error_where_float_rounding_reorders_addresses():
+    # at large b an address and an image of it a few hundred units farther
+    # from the quarter point can round to the larger |sin|: the window must
+    # reach that image
+    rng = np.random.default_rng(59)
+    for _ in range(3000):
+        b = int(rng.integers(40, 63))
+        period = 1 << b
+        r = int(rng.integers(0, period))
+        images = [(period >> 1) - r, (period >> 1) + r, period - r]
+        num = [r] + [int(rng.choice(images)) + int(rng.integers(-300, 301)) for _ in range(3)]
+        scan = _scan(2, b)
+        scan.num = np.array([v % period for v in num], dtype=np.int64)
+        assert scan.error() == full_array_error(scan.num, period)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eta=st.integers(min_value=0, max_value=6),
+    data=st.data(),
+)
+def test_masked_advance_equals_mod_update(eta, data):
+    b = data.draw(st.integers(min_value=eta + 1, max_value=62))
+    period, half = 1 << b, 1 << (b - 1)
+    near_top = st.integers(min_value=0, max_value=min(4, half)).map(lambda o: half - o)
+    c = data.draw(st.one_of(st.integers(-half, half), near_top, near_top.map(lambda v: -v)))
+    z = data.draw(st.integers(min_value=0, max_value=(1 << eta) - 1))
+    coeffs = np.zeros(1 << eta, dtype=np.int64)
+    coeffs[z] = c
+    order = np.array([z] + [m for m in range(1 << eta) if m != z], dtype=np.int64)
+    scan = _scan(eta, b, coeffs, order)
+    num = data.draw(
+        st.lists(st.integers(0, period - 1), min_size=1 << eta, max_size=1 << eta)
+    )
+    scan.num = np.array(num, dtype=np.int64)
+    x = np.arange(1 << eta, dtype=np.uint64)
+    signs = 1 - 2 * (np.bitwise_count(x & np.uint64(z)).astype(np.int64) & 1)
+    expected = np.mod(scan.num - signs * c, period)
+    scan.advance()
+    assert scan.k == 1
+    assert np.array_equal(scan.num, expected)
 
 
 class TestFileIngestion:
