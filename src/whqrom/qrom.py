@@ -8,7 +8,11 @@ one per retained mask z, where PFX_z XOR-fans the parity <x, z> across the
 b-qubit payload register and A_b(c) is a constant adder mod 2**b.  All
 blocks commute; adjacent PFX gates merge by XOR of masks, which is what the
 Gray-code ordering exploits.  Every gate maps basis states to basis states,
-so circuits are simulated by plain integer arithmetic.
+so circuits are simulated by plain integer arithmetic: :func:`simulate`
+gate by gate at one address, :func:`simulate_table` at every address by
+reading the whole circuit as one sparse Walsh sum and evaluating it with a
+single butterfly.  Gate-by-gate array steps (``vstep``) run only after the
+first gate outside that fragment, which no synthesized circuit contains.
 
 Cost model (per constant adder of k on b bits, lsb = index of k's lowest
 set bit; T count = 4 * workspace ancillas):
@@ -31,7 +35,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import ParseError, RangeError, ScaleError, ShapeError, ToleranceError
-from .wht import SampledFunction, TruncatedSpectrum
+from .wht import SampledFunction, TruncatedSpectrum, _butterfly
 
 __all__ = [
     "Ordering",
@@ -48,6 +52,7 @@ __all__ = [
     "cost",
     "simulate",
     "simulate_table",
+    "MAX_TABLE_ETA",
     "multiplexed_rotation_unitary",
     "circuit_to_lines",
     "circuit_from_lines",
@@ -71,7 +76,8 @@ class Ordering(enum.Enum):
 #                               cost()
 #   step(regs, eta, b)          scalar step on ints, for simulate()
 #   vstep(regs, eta, b)         branch-free step on int64 arrays, for
-#                               simulate_table()
+#                               simulate_table() after the first gate
+#                               outside its Walsh-sum fragment
 #   fault(eta, b, total)        the circuit rule it breaks, or None
 # ---------------------------------------------------------------------------
 
@@ -591,6 +597,11 @@ def pair_cancel(circuit: QromCircuit, spec: TruncatedSpectrum) -> QromCircuit:
 # ---------------------------------------------------------------------------
 
 
+#: Largest input width :func:`simulate_table` accepts; each of its working
+#: arrays holds 2**eta int64 entries (128 MiB at this limit).
+MAX_TABLE_ETA = 24
+
+
 def simulate(circuit: QromCircuit, x: int, y: int) -> int:
     """Run the circuit on basis state |x>|y>|0...0> and return the payload.
 
@@ -612,21 +623,106 @@ def simulate(circuit: QromCircuit, x: int, y: int) -> int:
 
 
 def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
-    """Vectorized simulate over every input x, starting payload y0.
+    """Payload after the circuit at every input x, from payload y0.
 
-    Returns the length-2**eta array of final payload values; bit-identical
-    to calling :func:`simulate` point by point.
+    Returns the length-2**eta int64 array of final payload values;
+    bit-identical to calling :func:`simulate` point by point, and raising
+    the same errors.
+
+    The gates are read once, on plain integers, never over the 2**eta
+    addresses.  PFX z flips every payload bit when <x, z> = 1, i.e. maps
+    y -> N(y) = -1 - y mod 2**b, and N(y + k) = N(y) - k; so the payload
+    stays y = N^<x, s>(y0 + T(x)), where the sign mask s is the XOR of the
+    PFX masks read so far and each adder adds +-k to T by the sign
+    (-1)^<x, s>.  While ancillas are written only by X and by CNOTs from
+    input or ancilla qubits, each holds a GF(2)-affine function
+    <x, m> XOR c of the input, and 2 [<x, m> XOR c] = 1 - (-1)^c (-1)^<x, m>
+    turns a controlled adder into two Walsh terms.  So 2T is a sparse Walsh
+    sum, doubled to keep it integral, evaluated at every x by one butterfly
+    in int64: that is 2T mod 2**64 (the wraparound is exact ring
+    arithmetic), and a shift right by one leaves T mod 2**63 in the low 63
+    bits, enough for b <= 63.  An ancilla left as any affine function other
+    than 0 is nonzero at some x, which raises :class:`ToleranceError` as
+    :func:`simulate` does.  Every circuit :func:`synthesize`,
+    :func:`pair_cancel` and ``blockenc.exact_table_qrom`` emit stays in this
+    fragment, and costs O(gates + eta 2**eta).  At the first gate outside
+    it (a CNOT or X onto the payload, a CNOT controlled by a payload qubit)
+    the state is expanded into int64 registers and the rest runs gate by
+    gate (``vstep``), O(gates 2**eta).
+
+    Limits, checked before any array is allocated (:class:`ScaleError`):
+    b <= 63, so payloads fit int64; eta <= :data:`MAX_TABLE_ETA`; and at
+    most 63 ancillas where the registers are expanded.
     """
     eta, b = circuit.input_width, circuit.payload_width
     if not 0 <= y0 < (1 << b):
         raise RangeError(f"y0 = {y0} outside [0, 2**{b})")
-    n = 1 << eta
-    regs = [
-        np.arange(n, dtype=np.int64),
-        np.full(n, y0, dtype=np.int64),
-        np.zeros(n, dtype=np.int64),
-    ]
-    for gate in circuit.gates:
+    if b > 63:
+        raise ScaleError(f"payload width b = {b} exceeds 63, the int64 payload limit")
+    if eta > MAX_TABLE_ETA:
+        raise ScaleError(f"eta = {eta} exceeds the limit MAX_TABLE_ETA = {MAX_TABLE_ETA}")
+    first_ancilla = eta + b
+    sign = 0
+    spectrum: dict[int, int] = {}  # mask -> doubled Walsh coefficient of T
+    ancillas = [(0, 0)] * circuit.ancilla_count  # (mask, const) of each ancilla
+
+    def affine(q: int) -> tuple[int, int]:
+        return (1 << q, 0) if q < eta else ancillas[q - first_ancilla]
+
+    for i, gate in enumerate(circuit.gates):
+        kind = type(gate)
+        if kind is Pfx:
+            sign ^= gate.mask
+        elif kind is Adder:
+            spectrum[sign] = spectrum.get(sign, 0) + 2 * gate.k
+        elif kind is CAdder:
+            mask, const = affine(gate.control)
+            spectrum[sign] = spectrum.get(sign, 0) + gate.k
+            flip = sign ^ mask
+            spectrum[flip] = spectrum.get(flip, 0) + (gate.k if const else -gate.k)
+        elif gate.target < first_ancilla or (
+            kind is Cnot and eta <= gate.control < first_ancilla
+        ):
+            # writes or reads a payload qubit: leave the fragment
+            payload = _payload(spectrum, sign, y0, eta, b)
+            return _simulate_rest(circuit, i, payload, ancillas)
+        else:
+            mask, const = affine(gate.control) if kind is Cnot else (0, 1)
+            j = gate.target - first_ancilla
+            ancillas[j] = (ancillas[j][0] ^ mask, ancillas[j][1] ^ const)
+    if any(mask or const for mask, const in ancillas):
+        raise ToleranceError("ancillas not restored to |0> at circuit end")
+    return _payload(spectrum, sign, y0, eta, b)
+
+
+def _parities(eta: int, mask: int) -> np.ndarray:
+    """<x, mask> mod 2 at every x in [0, 2**eta), as int64."""
+    x = np.arange(1 << eta, dtype=np.int64)
+    return (np.bitwise_count(x & mask) & 1).astype(np.int64)
+
+
+def _payload(spectrum: dict, sign: int, y0: int, eta: int, b: int) -> np.ndarray:
+    """N^<x, sign>(y0 + T(x)) mod 2**b at every x, from T's doubled spectrum."""
+    doubled = np.zeros(1 << eta, dtype=np.int64)
+    for mask, value in spectrum.items():
+        # the residue mod 2**64 in int64 range
+        doubled[mask] = (value + (1 << 63)) % (1 << 64) - (1 << 63)
+    # 2T mod 2**64; shifting right by one leaves T mod 2**63 in the low bits
+    t = _butterfly(doubled) >> 1
+    ones = (1 << b) - 1
+    return ((t + y0) & ones) ^ (_parities(eta, sign) * ones)
+
+
+def _simulate_rest(circuit: QromCircuit, start: int, payload, ancillas) -> np.ndarray:
+    """Run gates[start:] by ``vstep`` from the payload and affine ancillas."""
+    eta, b = circuit.input_width, circuit.payload_width
+    if len(ancillas) > 63:
+        raise ScaleError(f"{len(ancillas)} ancillas exceed 63, the int64 register limit")
+    packed = np.zeros(1 << eta, dtype=np.int64)
+    for j, (mask, const) in enumerate(ancillas):
+        packed |= (_parities(eta, mask) ^ const) << j
+    regs = [np.arange(1 << eta, dtype=np.int64), payload, packed]
+    for gate in circuit.gates[start:]:
         gate.vstep(regs, eta, b)
     if np.any(regs[2]):
         raise ToleranceError("ancillas not restored to |0> at circuit end")

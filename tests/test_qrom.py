@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whqrom.errors import ParseError, RangeError, ScaleError, ShapeError
+from whqrom import qrom
+from whqrom.blockenc import exact_table_qrom
+from whqrom.errors import ParseError, RangeError, ScaleError, ShapeError, ToleranceError
 from whqrom.qrom import (
+    MAX_TABLE_ETA,
     Adder,
     CAdder,
     Cnot,
@@ -131,6 +134,21 @@ class TestSimulate:
             simulate(circ, 0, 16)
         with pytest.raises(RangeError):
             simulate_table(circ, 16)
+
+    def test_table_scale_guards(self, monkeypatch):
+        wide = circuit_from_lines("QROM 2 64 0\nADD 5 64\n")
+        assert simulate(wide, 1, 0) == 5
+        with pytest.raises(ScaleError, match="int64 payload limit"):
+            simulate_table(wide, 0)
+        many = QromCircuit(1, 2, 64, (XGate(66), XGate(66)))
+        assert np.array_equal(simulate_table(many, 3), [3, 3])
+        with pytest.raises(ScaleError, match="64 ancillas"):
+            simulate_table(QromCircuit(1, 2, 64, (XGate(1),)), 0)
+        huge = circuit_from_lines(f"QROM {MAX_TABLE_ETA + 1} 4 0\nADD 1 4\n")
+        # with numpy unusable, only a guard raised before any allocation passes
+        monkeypatch.setattr(qrom, "np", None)
+        with pytest.raises(ScaleError, match="MAX_TABLE_ETA"):
+            simulate_table(huge, 0)
 
     def test_functional_correctness_random_pipeline(self):
         rng = np.random.default_rng(23)
@@ -565,3 +583,120 @@ def test_t_depth_equals_greedy_layering_on_synthesized_circuits():
         trunc = full_truncation(f)
         for circ in (synthesize(trunc), pair_cancel(synthesize(trunc), trunc)):
             assert cost(circ).t_depth == frontier_t_depth(circ)
+
+
+def vstep_table(circuit, y0):
+    """The whole-circuit ``vstep`` loop over int64 registers at every x:
+    the second oracle for simulate_table, beside scalar simulate."""
+    eta, b = circuit.input_width, circuit.payload_width
+    n = 1 << eta
+    regs = [
+        np.arange(n, dtype=np.int64),
+        np.full(n, y0, dtype=np.int64),
+        np.zeros(n, dtype=np.int64),
+    ]
+    for gate in circuit.gates:
+        gate.vstep(regs, eta, b)
+    if np.any(regs[2]):
+        raise ToleranceError("ancillas not restored to |0> at circuit end")
+    return regs[1]
+
+
+@st.composite
+def table_circuits(draw):
+    """Valid circuits for simulate_table, with b up to 63.
+
+    Fragment gates: PFX, ADD, CADD controlled by an input or ancilla qubit,
+    X onto an ancilla, and CNOTs onto an ancilla from input or other ancilla
+    qubits.  With ``leave`` drawn, gates outside the fragment mix in: X or
+    CNOT onto the payload, and a payload-controlled CNOT pair around a
+    CNOT from that ancilla onto another payload qubit.  Ancilla writes are
+    repeated in reverse at the end, which restores every ancilla unless one
+    more X leaves an ancilla set.
+    """
+    eta = draw(st.integers(1, 4))
+    b = draw(st.one_of(st.integers(1, 5), st.sampled_from([61, 62, 63])))
+    anc = draw(st.integers(0, 3))
+    leave = draw(st.booleans())
+    inputs = list(range(eta))
+    payload = list(range(eta, eta + b))
+    ancillas = list(range(eta + b, eta + b + anc))
+    # large magnitudes set the top payload bits, where 2k wraps mod 2**64
+    large = st.integers(1 << max(b - 2, 0), (1 << b) - 1)
+    constant = st.integers(-(1 << b) + 1, (1 << b) - 1) | large | large.map(int.__neg__)
+    gates, ancilla_writes = [], []
+    for kind in draw(st.lists(st.sampled_from("PACNXLL" if leave else "PACNX"), max_size=16)):
+        if kind == "P":
+            if gates and isinstance(gates[-1], Pfx):
+                continue
+            gates.append(Pfx(draw(st.integers(1, (1 << eta) - 1)), b))
+        elif kind == "A":
+            gates.append(Adder(draw(constant), b))
+        elif kind == "C":
+            gates.append(CAdder(draw(constant), b, draw(st.sampled_from(inputs + ancillas))))
+        elif kind in "NX" and ancillas:
+            target = draw(st.sampled_from(ancillas))
+            if kind == "X":
+                gate = XGate(target)
+            else:
+                gate = Cnot(draw(st.sampled_from([q for q in inputs + ancillas if q != target])), target)
+            gates.append(gate)
+            ancilla_writes.append(gate)
+        elif kind == "L":
+            target = draw(st.sampled_from(payload))
+            choice = draw(st.integers(0, 2))
+            if choice == 0:
+                gates.append(XGate(target))
+            elif choice == 1:
+                sources = [q for q in inputs + payload + ancillas if q != target]
+                gates.append(Cnot(draw(st.sampled_from(sources)), target))
+            elif ancillas and b > 1:
+                a = draw(st.sampled_from(ancillas))
+                other = draw(st.sampled_from([q for q in payload if q != target]))
+                gates.extend([Cnot(target, a), Cnot(a, other), Cnot(target, a)])
+    gates.extend(reversed(ancilla_writes))
+    if ancillas and draw(st.booleans()):
+        gates.append(XGate(draw(st.sampled_from(ancillas))))
+    y0 = draw(st.integers(0, (1 << b) - 1))
+    return QromCircuit(eta, b, anc, tuple(gates)), y0
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_circuits())
+def test_table_equals_vstep_loop_and_scalar_oracle(case):
+    circ, y0 = case
+    try:
+        want = vstep_table(circ, y0)
+    except ToleranceError:
+        with pytest.raises(ToleranceError, match="ancillas not restored"):
+            simulate_table(circ, y0)
+        return
+    got = simulate_table(circ, y0)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+    for x in range(1 << circ.input_width):
+        assert simulate(circ, x, y0) == got[x]
+
+
+def test_emitted_circuits_never_leave_the_fragment(monkeypatch):
+    def refuse(self, regs, eta, b):
+        raise AssertionError(f"{self.text()} ran gate by gate")
+
+    for kind in (Pfx, Adder, CAdder, Cnot, XGate):
+        monkeypatch.setattr(kind, "vstep", refuse)
+    rng = np.random.default_rng(89)
+    with_ancilla = 0
+    for eta, d, epsilon in ((3, 4, 1e-300), (5, 6, 0.05), (6, 8, 1e-300), (8, 10, 2.0**-6)):
+        f = random_function(rng, eta, d)
+        trunc = minimal_truncation(f, epsilon=epsilon)
+        b = eta + d
+        y0 = int(rng.integers(1, 1 << b))
+        gray = synthesize(trunc)
+        for circ in (gray, synthesize(trunc, Ordering.MAGNITUDE_DESCENDING), pair_cancel(gray, trunc)):
+            with_ancilla += circ.ancilla_count
+            assert np.array_equal(simulate_table(circ, y0), expected_table(trunc, y0, b))
+        values = rng.integers(0, 1 << d, size=1 << eta)
+        loaded = exact_table_qrom(values, eta, d)
+        want = (y0 + (values << eta)) % (1 << b)
+        assert np.array_equal(simulate_table(loaded, y0), want)
+    assert with_ancilla
