@@ -17,7 +17,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -177,7 +176,9 @@ def cmd_dvr_check(args) -> dict:
     # default: the largest power of two dividing n, at most 32, since the
     # column recursion loses accuracy over longer segments (Hermite n = 64
     # rebuilt from one 64-column segment misses by 5e-3)
-    segment = args.segment or min(32, args.n & -args.n)
+    segment = min(32, args.n & -args.n) if args.segment is None else args.segment
+    if segment < 1:
+        raise ConfigError(f"--segment must be at least 1, got {segment}")
     if args.n % segment or segment & (segment - 1):
         raise ConfigError(f"--segment {segment} must be a power of two dividing n")
     if segment >= 2:
@@ -306,11 +307,9 @@ def _random_blockenc_round(rng, max_dim: int) -> list:
     return out
 
 
-def _sweep_job(task) -> tuple:
-    """One (eta, epsilon) point of the PES QROM sweep; must be picklable."""
-    name, dims, eta, digits, epsilon, seed = task
-    pes = synthetic.make_pes(name, dims=dims, **({"seed": seed} if name == "wells" else {}))
-    f = wht.quantize(pes.sample(eta), digits)
+def _sweep_job(dims: int, eta: int, digits: int, epsilon: float) -> tuple:
+    """One (eta, epsilon) point of the harmonic PES QROM sweep."""
+    f = wht.quantize(synthetic.make_pes("harmonic", dims=dims).sample(eta), digits)
     trunc = wht.minimal_truncation(f, epsilon)
     circuit = qrom.pair_cancel(qrom.synthesize(trunc), trunc)
     report = qrom.cost(circuit)
@@ -347,17 +346,11 @@ def cmd_molham(args) -> dict:
         )
     payload["strategies"] = entries
     if args.sweep:
-        tasks = [
-            ("harmonic", args.dims, eta, args.digits, 2.0**-log2_eps, args.seed)
+        rows = sorted(
+            _sweep_job(args.dims, eta, args.digits, 2.0**-log2_eps)
             for eta in args.sweep
             for log2_eps in args.sweep_eps
-        ]
-        jobs = min(args.jobs, os.cpu_count() or 1)
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                rows = sorted(pool.map(_sweep_job, tasks))
-        else:
-            rows = sorted(_sweep_job(t) for t in tasks)
+        )
         out_dir = Path(args.out)
         lines = ["eta,epsilon,toffoli,kRetained"]
         for eta, eps, toffoli, k in rows:
@@ -500,9 +493,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--dims", type=int, default=2)
     p.add_argument("--digits", type=int, default=15)
-    p.add_argument(
-        "--jobs", type=int, default=1, help="worker processes for sweeps, at most the CPU count"
-    )
+    # the sweep runs serially; --jobs is accepted and ignored so that
+    # existing command lines keep working
+    p.add_argument("--jobs", type=int, default=1, help="accepted and ignored")
     p.set_defaults(func=cmd_molham, report="molham")
 
     p = sub.add_parser("fit-scaling", help="regress log2(tau) on eta and log2 log2 1/eps")

@@ -7,12 +7,14 @@ The QROM for a truncated spectrum is a product of blocks
 one per retained mask z, where PFX_z XOR-fans the parity <x, z> across the
 b-qubit payload register and A_b(c) is a constant adder mod 2**b.  All
 blocks commute; adjacent PFX gates merge by XOR of masks, which is what the
-Gray-code ordering exploits.  Every gate maps basis states to basis states,
-so circuits are simulated by plain integer arithmetic: :func:`simulate`
-gate by gate at one address, :func:`simulate_table` at every address by
-reading the whole circuit as one sparse Walsh sum and evaluating it with a
-single butterfly.  Gate-by-gate array steps (``vstep``) run only after the
-first gate outside that fragment, which no synthesized circuit contains.
+Gray-code ordering exploits.  Pair cancellation only adds parities that X
+and CNOT gates compute into ancillas, which then control adders.  So the
+payload is written only by PFX and the adders, and the ancillas only by X
+and CNOT: that is the whole circuit language, which :class:`QromCircuit`
+enforces.  Every gate maps basis states to basis states, so circuits are
+simulated by plain integer arithmetic: :func:`simulate` gate by gate at one
+address, :func:`simulate_table` at every address by reading the whole
+circuit as one sparse Walsh sum and evaluating it with a single butterfly.
 
 Cost model (per constant adder of k on b bits, lsb = index of k's lowest
 set bit; T count = 4 * workspace ancillas):
@@ -67,28 +69,24 @@ class Ordering(enum.Enum):
 # ---------------------------------------------------------------------------
 # Gate IR.  Qubit layout: [0, eta) input register, [eta, eta+b) payload,
 # [eta+b, eta+b+ancilla_count) ancillas.  Indices in Cnot/X/CAdder are
-# global; Pfx/Adder act on the payload implicitly.  Simulation state is
-# regs = [input, payload, ancillas], and _locate maps a global index into it.
+# global; Pfx/Adder act on the payload implicitly, and they are the only
+# gates that write it.  Cnot/X write only ancillas, and no control is a
+# payload qubit.  Scalar simulation state is regs = [input, payload,
+# ancillas], and _locate maps a control qubit into it.
 #
 # Each gate kind defines everything about itself in one class:
 #   op, text(), parse(fields)   its wire token, line and field parser
 #   resources()                 (t, cnots, other_cliffords, workspace) for
 #                               cost()
 #   step(regs, eta, b)          scalar step on ints, for simulate()
-#   vstep(regs, eta, b)         branch-free step on int64 arrays, for
-#                               simulate_table() after the first gate
-#                               outside its Walsh-sum fragment
 #   fault(eta, b, total)        the circuit rule it breaks, or None
+# simulate_table() reads the gates by kind, in one loop of its own.
 # ---------------------------------------------------------------------------
 
 
 def _locate(q: int, eta: int, b: int) -> tuple[int, int]:
-    """(register, bit) of global qubit q in regs = [input, payload, ancillas]."""
-    if q < eta:
-        return 0, q
-    if q < eta + b:
-        return 1, q - eta
-    return 2, q - eta - b
+    """(register, bit) of control qubit q in regs = [input, payload, ancillas]."""
+    return (0, q) if q < eta else (2, q - eta - b)
 
 
 def _width_fault(width: int, b: int) -> str | None:
@@ -101,6 +99,12 @@ def _qubit_fault(q: int, first: int, total: int) -> str | None:
     if not first <= q < total:
         return f"qubit {q} outside [{first}, {total})"
     return None
+
+
+def _control_fault(q: int, eta: int, b: int, total: int) -> str | None:
+    if eta <= q < eta + b:
+        return "control is a payload qubit"
+    return _qubit_fault(q, 0, total)
 
 
 def _lsb(k: int) -> int:
@@ -149,11 +153,6 @@ class Pfx(_Gate):
         if (regs[0] & self.mask).bit_count() & 1:
             regs[1] ^= (1 << b) - 1
 
-    def vstep(self, regs, eta, b):
-        # np.bitwise_count returns uint8: widen before scaling by the mask
-        parity = (np.bitwise_count(regs[0] & self.mask) & 1).astype(np.int64)
-        regs[1] ^= parity * ((1 << b) - 1)
-
     def fault(self, eta, b, total):
         if self.mask >> eta:
             return f"mask must be < 2**{eta}"
@@ -186,10 +185,6 @@ class Adder(_Gate):
     def step(self, regs, eta, b):
         regs[1] = (regs[1] + self.k) & ((1 << b) - 1)
 
-    def vstep(self, regs, eta, b):
-        regs[1] += self.k
-        regs[1] &= (1 << b) - 1
-
     def fault(self, eta, b, total):
         return _width_fault(self.width, b)
 
@@ -218,15 +213,8 @@ class CAdder(_Gate):
         if regs[reg] >> bit & 1:
             regs[1] = (regs[1] + self.k) & ((1 << b) - 1)
 
-    def vstep(self, regs, eta, b):
-        reg, bit = _locate(self.control, eta, b)
-        regs[1] += (regs[reg] >> bit & 1) * self.k
-        regs[1] &= (1 << b) - 1
-
     def fault(self, eta, b, total):
-        if eta <= self.control < eta + b:
-            return "control is a payload qubit"
-        return _width_fault(self.width, b) or _qubit_fault(self.control, 0, total)
+        return _control_fault(self.control, eta, b, total) or _width_fault(self.width, b)
 
     def text(self) -> str:
         return f"{self.op} {self.k} {self.width} {self.control}"
@@ -244,18 +232,13 @@ class Cnot(_Gate):
     def step(self, regs, eta, b):
         reg, bit = _locate(self.control, eta, b)
         if regs[reg] >> bit & 1:
-            reg, bit = _locate(self.target, eta, b)
-            regs[reg] ^= 1 << bit
-
-    def vstep(self, regs, eta, b):
-        reg, bit = _locate(self.control, eta, b)
-        target, shift = _locate(self.target, eta, b)
-        regs[target] ^= (regs[reg] >> bit & 1) << shift
+            regs[2] ^= 1 << (self.target - eta - b)
 
     def fault(self, eta, b, total):
         if self.control == self.target:
             return "control equals target"
-        return _qubit_fault(self.control, 0, total) or _qubit_fault(self.target, eta, total)
+        fault = _control_fault(self.control, eta, b, total)
+        return fault or _qubit_fault(self.target, eta + b, total)
 
     def text(self) -> str:
         return f"{self.op} {self.control} {self.target}"
@@ -270,13 +253,10 @@ class XGate(_Gate):
         return 0, 0, 1, 0
 
     def step(self, regs, eta, b):
-        reg, bit = _locate(self.target, eta, b)
-        regs[reg] ^= 1 << bit
-
-    vstep = step
+        regs[2] ^= 1 << (self.target - eta - b)
 
     def fault(self, eta, b, total):
-        return _qubit_fault(self.target, eta, total)
+        return _qubit_fault(self.target, eta + b, total)
 
     def text(self) -> str:
         return f"{self.op} {self.target}"
@@ -302,8 +282,9 @@ class QromCircuit:
     that breaks one; negative register widths raise :class:`RangeError`):
     every gate width equals the payload width b; PFX masks are < 2**eta;
     every qubit index lies in [0, total_qubits); CNOT and X targets are
-    payload or ancilla qubits (the input register is read-only); a CNOT's
-    control differs from its target; a CADD control is not a payload qubit;
+    ancilla qubits, in [eta + b, total_qubits), so only PFX and the adders
+    write the payload and the input register is read-only; no CNOT or CADD
+    control is a payload qubit; a CNOT's control differs from its target;
     no two PFX gates are adjacent (they compose by XOR of masks and are
     merged at synthesis).
     """
@@ -634,25 +615,21 @@ def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
     y -> N(y) = -1 - y mod 2**b, and N(y + k) = N(y) - k; so the payload
     stays y = N^<x, s>(y0 + T(x)), where the sign mask s is the XOR of the
     PFX masks read so far and each adder adds +-k to T by the sign
-    (-1)^<x, s>.  While ancillas are written only by X and by CNOTs from
-    input or ancilla qubits, each holds a GF(2)-affine function
-    <x, m> XOR c of the input, and 2 [<x, m> XOR c] = 1 - (-1)^c (-1)^<x, m>
-    turns a controlled adder into two Walsh terms.  So 2T is a sparse Walsh
-    sum, doubled to keep it integral, evaluated at every x by one butterfly
-    in int64: that is 2T mod 2**64 (the wraparound is exact ring
-    arithmetic), and a shift right by one leaves T mod 2**63 in the low 63
-    bits, enough for b <= 63.  An ancilla left as any affine function other
-    than 0 is nonzero at some x, which raises :class:`ToleranceError` as
-    :func:`simulate` does.  Every circuit :func:`synthesize`,
-    :func:`pair_cancel` and ``blockenc.exact_table_qrom`` emit stays in this
-    fragment, and costs O(gates + eta 2**eta).  At the first gate outside
-    it (a CNOT or X onto the payload, a CNOT controlled by a payload qubit)
-    the state is expanded into int64 registers and the rest runs gate by
-    gate (``vstep``), O(gates 2**eta).
+    (-1)^<x, s>.  Ancillas are written only by X and by CNOTs from input or
+    ancilla qubits (a :class:`QromCircuit` rule), so each holds a
+    GF(2)-affine function <x, m> XOR c of the input, kept as the Python-int
+    pair (m, c) for the ancillas written so far, whatever their count, and
+    2 [<x, m> XOR c] = 1 - (-1)^c (-1)^<x, m> turns a controlled adder into
+    two Walsh terms.  So 2T is a sparse Walsh sum, doubled to keep it
+    integral, evaluated at every x by one butterfly in int64: that is
+    2T mod 2**64 (the wraparound is exact ring arithmetic), and a shift
+    right by one leaves T mod 2**63 in the low 63 bits, enough for b <= 63.
+    An ancilla left as any affine function other than 0 is nonzero at some
+    x, which raises :class:`ToleranceError` as :func:`simulate` does.  Cost
+    O(gates + eta 2**eta).
 
     Limits, checked before any array is allocated (:class:`ScaleError`):
-    b <= 63, so payloads fit int64; eta <= :data:`MAX_TABLE_ETA`; and at
-    most 63 ancillas where the registers are expanded.
+    b <= 63, so payloads fit int64, and eta <= :data:`MAX_TABLE_ETA`.
     """
     eta, b = circuit.input_width, circuit.payload_width
     if not 0 <= y0 < (1 << b):
@@ -661,15 +638,14 @@ def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
         raise ScaleError(f"payload width b = {b} exceeds 63, the int64 payload limit")
     if eta > MAX_TABLE_ETA:
         raise ScaleError(f"eta = {eta} exceeds the limit MAX_TABLE_ETA = {MAX_TABLE_ETA}")
-    first_ancilla = eta + b
     sign = 0
     spectrum: dict[int, int] = {}  # mask -> doubled Walsh coefficient of T
-    ancillas = [(0, 0)] * circuit.ancilla_count  # (mask, const) of each ancilla
+    ancillas: dict[int, tuple[int, int]] = {}  # qubit -> (mask, const); absent is 0
 
     def affine(q: int) -> tuple[int, int]:
-        return (1 << q, 0) if q < eta else ancillas[q - first_ancilla]
+        return (1 << q, 0) if q < eta else ancillas.get(q, (0, 0))
 
-    for i, gate in enumerate(circuit.gates):
+    for gate in circuit.gates:
         kind = type(gate)
         if kind is Pfx:
             sign ^= gate.mask
@@ -680,25 +656,13 @@ def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
             spectrum[sign] = spectrum.get(sign, 0) + gate.k
             flip = sign ^ mask
             spectrum[flip] = spectrum.get(flip, 0) + (gate.k if const else -gate.k)
-        elif gate.target < first_ancilla or (
-            kind is Cnot and eta <= gate.control < first_ancilla
-        ):
-            # writes or reads a payload qubit: leave the fragment
-            payload = _payload(spectrum, sign, y0, eta, b)
-            return _simulate_rest(circuit, i, payload, ancillas)
-        else:
+        else:  # X or CNOT onto an ancilla
             mask, const = affine(gate.control) if kind is Cnot else (0, 1)
-            j = gate.target - first_ancilla
-            ancillas[j] = (ancillas[j][0] ^ mask, ancillas[j][1] ^ const)
-    if any(mask or const for mask, const in ancillas):
+            old_mask, old_const = affine(gate.target)
+            ancillas[gate.target] = (old_mask ^ mask, old_const ^ const)
+    if any(mask or const for mask, const in ancillas.values()):
         raise ToleranceError("ancillas not restored to |0> at circuit end")
     return _payload(spectrum, sign, y0, eta, b)
-
-
-def _parities(eta: int, mask: int) -> np.ndarray:
-    """<x, mask> mod 2 at every x in [0, 2**eta), as int64."""
-    x = np.arange(1 << eta, dtype=np.int64)
-    return (np.bitwise_count(x & mask) & 1).astype(np.int64)
 
 
 def _payload(spectrum: dict, sign: int, y0: int, eta: int, b: int) -> np.ndarray:
@@ -709,24 +673,11 @@ def _payload(spectrum: dict, sign: int, y0: int, eta: int, b: int) -> np.ndarray
         doubled[mask] = (value + (1 << 63)) % (1 << 64) - (1 << 63)
     # 2T mod 2**64; shifting right by one leaves T mod 2**63 in the low bits
     t = _butterfly(doubled) >> 1
+    # np.bitwise_count returns uint8: widen before scaling by 2**b - 1
+    x = np.arange(1 << eta, dtype=np.int64)
+    parity = (np.bitwise_count(x & sign) & 1).astype(np.int64)
     ones = (1 << b) - 1
-    return ((t + y0) & ones) ^ (_parities(eta, sign) * ones)
-
-
-def _simulate_rest(circuit: QromCircuit, start: int, payload, ancillas) -> np.ndarray:
-    """Run gates[start:] by ``vstep`` from the payload and affine ancillas."""
-    eta, b = circuit.input_width, circuit.payload_width
-    if len(ancillas) > 63:
-        raise ScaleError(f"{len(ancillas)} ancillas exceed 63, the int64 register limit")
-    packed = np.zeros(1 << eta, dtype=np.int64)
-    for j, (mask, const) in enumerate(ancillas):
-        packed |= (_parities(eta, mask) ^ const) << j
-    regs = [np.arange(1 << eta, dtype=np.int64), payload, packed]
-    for gate in circuit.gates[start:]:
-        gate.vstep(regs, eta, b)
-    if np.any(regs[2]):
-        raise ToleranceError("ancillas not restored to |0> at circuit end")
-    return regs[1]
+    return ((t + y0) & ones) ^ (parity * ones)
 
 
 # ---------------------------------------------------------------------------

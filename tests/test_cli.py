@@ -133,6 +133,13 @@ class TestDvrCheck:
     def test_bad_segment_is_config_error(self, tmp_path):
         assert run(tmp_path, "dvr-check", "--n", "12", "--segment", "8") == 2
 
+    def test_zero_segment_is_not_the_default(self, tmp_path, capsys):
+        # 0 once fell back to the default segment and exited 0
+        assert run(tmp_path, "dvr-check", "--n", "16", "--segment", "0") == 2
+        err = capsys.readouterr().err
+        assert "--segment must be at least 1, got 0" in err and "Traceback" not in err
+        assert not (tmp_path / "dvr_check.json").exists()
+
     @pytest.mark.parametrize(
         "kind, n, segment",
         [
@@ -251,34 +258,6 @@ class TestMolham:
         assert [row["blockEncoding"] for row in report["strategies"]] == json.loads(
             json.dumps(fresh)
         )
-
-    def test_jobs_are_clamped_to_the_cpu_count(self, tmp_path, monkeypatch):
-        from whqrom import cli
-
-        pools = []
-
-        class RecordingPool:
-            """Stands in for ProcessPoolExecutor: records max_workers, maps serially."""
-
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        base = ["molham", "--strategy", "LCU_FBR", "--sweep", "6", "--sweep-eps", "6"]
-        assert run(tmp_path, *base, "--jobs", "64") == 0
-        assert run(tmp_path, *base, "--jobs", "2") == 0
-        assert run(tmp_path, *base, "--jobs", "1") == 0
-        assert pools == [3, 2]
 
     def test_config_error_field_path(self, tmp_path, capsys):
         cfg = tmp_path / "bad.yaml"

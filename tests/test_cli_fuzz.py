@@ -2,7 +2,7 @@
 
 Every argument list, however malformed, must end in a documented exit code
 (0 ok, 2 config, 3 parse, 4 tolerance) with no traceback on stderr.  Sizes
-stay small (eta <= 10, dimensions <= 16, grids <= 8 x 8 x 8, one worker), so
+stay small (eta <= 10, dimensions <= 16, grids <= 8 x 8 x 8), so
 no example allocates more than a few MiB.
 """
 
@@ -189,12 +189,14 @@ commands = st.one_of(
     fmt=st.sampled_from(["json", "csv"]),
 )
 # dvr-check sizes beyond the drawn range: the default segment (64, 48), the
-# Hermite moments past float64 overflow (172, 256) and the Hermite limit (372)
+# Hermite moments past float64 overflow (172, 256) and the Hermite limit
+# (372); and segment 0, which must be refused before n % segment
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "64"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "48"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "172"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "256"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "372"], None), seed=0, fmt="json")
+@example(command=(["dvr-check", "--n", "16", "--segment", "0"], None), seed=0, fmt="json")
 def test_cli_exit_code_contract(command, seed, fmt):
     argv, file = command
     with tempfile.TemporaryDirectory() as tmp:
