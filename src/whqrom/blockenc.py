@@ -559,28 +559,22 @@ def product_be(left: BlockEncodingResult, right: BlockEncodingResult) -> BlockEn
     )
 
 
-def _swap_permutation(sys_qubits: int, swap_pairs) -> np.ndarray:
-    """Index permutation exchanging the listed system qubit pairs."""
-    n = 1 << sys_qubits
-    perm = np.arange(n)
-    for qa, qb in swap_pairs:
-        if not (0 <= qa < sys_qubits and 0 <= qb < sys_qubits):
-            raise RangeError(f"swap pair ({qa}, {qb}) outside the system register")
-        ba = (perm >> qa) & 1
-        bb = (perm >> qb) & 1
-        differ = ba != bb
-        perm = np.where(differ, perm ^ ((1 << qa) | (1 << qb)), perm)
-    out = np.zeros((n, n))
-    out[perm, np.arange(n)] = 1.0
-    return out
-
-
 def symmetry_swap_reduction(
     h_eff: BlockEncodingResult,
     swap_pairs,
     full_operator: np.ndarray | None = None,
 ) -> BlockEncodingResult:
     """Encode H = H_eff + SWAP H_eff SWAP with one Hadamard ancilla.
+
+    The circuit is Had . CSWAP . (1 (x) U_eff) . CSWAP . Had, with the
+    Hadamard ancilla as the most significant qubit and CSWAP exchanging the
+    listed system qubit pairs.  It is built by indexing, not by dense
+    products: SWAP acts on the inner (ancilla, system) index as the
+    permutation p(a n + s) = a n + perm(s), so with M = U_eff[p][:, p] the
+    unitary is [[S, D], [D, S]], S = (U_eff + M) / 2, D = (U_eff - M) / 2.
+    That block form needs SWAP to be its own inverse, so the pairs must
+    exchange two distinct system qubits each and share no qubit; anything
+    else (a repeated, overlapping or self-pair) raises :class:`RangeError`.
 
     zeta doubles.  When the intended full operator is supplied it is
     checked against the constructed sum; disagreement beyond 1e-9 raises
@@ -589,19 +583,25 @@ def symmetry_swap_reduction(
     sys_qubits = h_eff.system_qubits
     total = 1 + h_eff.ancilla_qubits + sys_qubits
     _check_dense_scale(total)
-    dim_inner = 1 << (h_eff.ancilla_qubits + sys_qubits)
-    swap_sys = _swap_permutation(sys_qubits, swap_pairs)
-    swap_inner = np.kron(np.eye(1 << h_eff.ancilla_qubits), swap_sys)
-    cswap = np.block(
-        [
-            [np.eye(dim_inner), np.zeros((dim_inner, dim_inner))],
-            [np.zeros((dim_inner, dim_inner)), swap_inner],
-        ]
-    )
-    had = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), np.eye(dim_inner))
-    lifted = np.kron(np.eye(2), h_eff.unitary)
-    unitary = had @ cswap @ lifted @ cswap @ had
-    constructed = np.asarray(h_eff.operator) + swap_sys @ np.asarray(h_eff.operator) @ swap_sys
+    n = 1 << sys_qubits
+    perm = np.arange(n)
+    used: set = set()
+    for qa, qb in swap_pairs:
+        if not (0 <= qa < sys_qubits and 0 <= qb < sys_qubits):
+            raise RangeError(f"swap pair ({qa}, {qb}) outside the system register")
+        if qa == qb or qa in used or qb in used:
+            raise RangeError(
+                f"swap pair ({qa}, {qb}) must name two distinct qubits no other pair uses"
+            )
+        used.update((qa, qb))
+        perm ^= (((perm >> qa) ^ (perm >> qb)) & 1) * ((1 << qa) | (1 << qb))
+    inner = (np.arange(1 << h_eff.ancilla_qubits)[:, None] * n + perm).reshape(-1)
+    u_eff = np.asarray(h_eff.unitary)
+    swapped = u_eff[inner][:, inner]
+    same, differ = (u_eff + swapped) / 2, (u_eff - swapped) / 2
+    unitary = np.block([[same, differ], [differ, same]])
+    op = np.asarray(h_eff.operator)
+    constructed = op + op[perm][:, perm]
     if full_operator is not None:
         dev = float(np.max(np.abs(np.asarray(full_operator) - constructed)))
         if dev > 1e-9:

@@ -401,6 +401,11 @@ def sop_max_abs(terms: Sequence[Term], dims: Sequence[int]) -> float:
 #: Dense water assembly is allowed up to this many grid points.
 MAX_DENSE_GRID = 4096
 
+#: ``eigenvalues`` uses dense eigh up to DENSE_LEVELS_BASE + DENSE_PER_LEVEL
+#: * count grid points (and never above MAX_DENSE_GRID), Lanczos above.
+DENSE_LEVELS_BASE = 768
+DENSE_PER_LEVEL = 14
+
 
 @dataclass
 class WaterSystem:
@@ -433,19 +438,27 @@ class WaterSystem:
     def eigenvalues(self, count: int) -> np.ndarray:
         """The lowest ``count`` levels in Hartree, ascending.
 
-        They come from Lanczos (ARPACK, converged to machine precision) on
+        Small grids, and grids small for the number of levels asked, use
+        dense eigh of h_dvr: n <= min(MAX_DENSE_GRID, 768 + 14 count).
+        Larger ones use Lanczos (ARPACK, converged to machine precision) on
         the term operator, from a seeded start vector that is not confined
-        to either exchange-symmetry sector.  When ARPACK's Lanczos basis
-        would span the whole grid (n <= max(2 count + 1, 20), which
-        includes every request for the whole spectrum), dense eigh of
-        h_dvr is used instead: it needs no more memory there and is much
-        faster.  Fewer than ``count`` levels come back when the grid has
-        fewer points.
+        to either exchange-symmetry sector.  Dense eigh costs about n^3 and
+        nothing per level, Lanczos grows with the level count; on water
+        grids with one BLAS thread (h_dvr + eigh against Lanczos, seconds)
+        the cheaper side switches at about 1 level for n = 768, 12 for
+        1024 (0.17 dense, 0.14 at 8 levels), 30 for 1200, 80 for 1600, 95
+        for 2016 (1.06 dense, 0.22 at 8 levels, 1.15 at 100) and 150 for
+        3136 (3.66 dense, 2.45 at 100 levels, 4.92 at 200).  Dense eigh is
+        also used whenever ARPACK's basis would span the whole grid (n <=
+        2 count + 1, which includes every request for the whole spectrum).
+        Fewer than ``count`` levels come back when the grid has fewer
+        points.
         """
         n = self.spec.grid_size
         if count < 1:
             raise RangeError(f"level count must be at least 1, got {count}")
-        if n <= max(2 * count + 1, 20):
+        dense_limit = min(MAX_DENSE_GRID, DENSE_LEVELS_BASE + DENSE_PER_LEVEL * count)
+        if n <= max(2 * count + 1, dense_limit):
             return eigh(self.h_dvr(), eigvals_only=True)[:count]
         return _lowest_levels(sop_operator(self.terms, self.dims), n, count)
 

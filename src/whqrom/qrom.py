@@ -739,7 +739,11 @@ def circuit_to_lines(circuit: QromCircuit) -> str:
 def circuit_from_lines(text: str) -> QromCircuit:
     """Parse the line-oriented text format back into a validated circuit.
 
-    A :class:`ParseError` names the offending line of ``text`` (1-based).
+    A :class:`ParseError` names the offending line of ``text`` (1-based);
+    when the same faulty line occurs more than once, the first occurrence.
+    Each distinct line (after stripping) is parsed once per call and its
+    gate reused for every repeat: gates are frozen, and an emitted circuit
+    repeats a few kinds of line (CNOT, X, CADD) many times over.
     """
     lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
     if not lines or not lines[0][1].startswith("QROM "):
@@ -750,16 +754,20 @@ def circuit_from_lines(text: str) -> QromCircuit:
         eta, b, anc = int(eta_s), int(b_s), int(anc_s)
     except ValueError as exc:
         raise ParseError(f"bad header {header!r}") from exc
+    parsed: dict = {}
     gates: list = []
     for lineno, line in lines[1:]:
-        op, *fields = line.split()
-        kind = _GATE_KINDS.get(op)
-        if kind is None:
-            raise ParseError(f"line {lineno}: unknown opcode {op!r}")
-        try:
-            gates.append(kind.parse(fields))
-        except ValueError as exc:
-            raise ParseError(f"line {lineno}: cannot parse {line!r}") from exc
+        gate = parsed.get(line)
+        if gate is None:
+            op, *fields = line.split()
+            kind = _GATE_KINDS.get(op)
+            if kind is None:
+                raise ParseError(f"line {lineno}: unknown opcode {op!r}")
+            try:
+                gate = parsed[line] = kind.parse(fields)
+            except ValueError as exc:
+                raise ParseError(f"line {lineno}: cannot parse {line!r}") from exc
+        gates.append(gate)
     try:
         return QromCircuit(input_width=eta, payload_width=b, ancilla_count=anc, gates=gates)
     except GateError as exc:

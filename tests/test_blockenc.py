@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -228,7 +230,61 @@ class TestProduct:
             )
 
 
+def dense_swap_reduction(h_eff, swap_pairs):
+    """Had . CSWAP . (1 (x) U_eff) . CSWAP . Had and H_eff + S H_eff S as dense products."""
+    sys_qubits = h_eff.system_qubits
+    n = 1 << sys_qubits
+    perm = np.arange(n)
+    for qa, qb in swap_pairs:
+        differ = ((perm >> qa) & 1) != ((perm >> qb) & 1)
+        perm = np.where(differ, perm ^ ((1 << qa) | (1 << qb)), perm)
+    swap_sys = np.zeros((n, n))
+    swap_sys[perm, np.arange(n)] = 1.0
+    dim_inner = 1 << (h_eff.ancilla_qubits + sys_qubits)
+    swap_inner = np.kron(np.eye(1 << h_eff.ancilla_qubits), swap_sys)
+    zero = np.zeros((dim_inner, dim_inner))
+    cswap = np.block([[np.eye(dim_inner), zero], [zero, swap_inner]])
+    had = np.kron(np.array([[1.0, 1.0], [1.0, -1.0]]) / math.sqrt(2.0), np.eye(dim_inner))
+    lifted = np.kron(np.eye(2), h_eff.unitary)
+    unitary = had @ cswap @ lifted @ cswap @ had
+    op = np.asarray(h_eff.operator)
+    return unitary, op + swap_sys @ op @ swap_sys
+
+
+def _swap_cases():
+    rng = np.random.default_rng(37)
+    for n in (4, 8, 16):
+        eta = n.bit_length() - 1
+        half = eta // 2
+        a = random_sparse_symmetric(rng, n, 3)
+        for h_eff in (
+            dsparse_fused_diagonal(rng.uniform(-1, 1, size=n)),
+            dsparse_fused(SparseOracle.from_dense(a)),
+        ):
+            full = [(q, q + half) for q in range(half)]
+            partial = [(eta - 1, 0)]
+            for pairs in (full, partial):
+                yield h_eff, pairs
+
+
 class TestSymmetrySwap:
+    @pytest.mark.parametrize("h_eff, pairs", list(_swap_cases()))
+    def test_index_form_matches_dense_products(self, h_eff, pairs):
+        unitary, operator = dense_swap_reduction(h_eff, pairs)
+        result = symmetry_swap_reduction(h_eff, pairs)
+        assert result.unitary.shape == unitary.shape
+        assert np.max(np.abs(result.unitary - unitary)) <= 4 * 2.0**-52
+        assert np.array_equal(result.operator, operator)
+        assert result.ancilla_qubits == 1 + h_eff.ancilla_qubits
+
+    @pytest.mark.parametrize(
+        "pairs", [[(0, 1), (1, 2)], [(0, 1), (2, 1)], [(0, 0)], [(0, 2), (0, 2)], [(0, 4)]]
+    )
+    def test_pairs_must_be_disjoint(self, pairs):
+        h_eff = dsparse_fused_diagonal(np.random.default_rng(41).uniform(-1, 1, size=16))
+        with pytest.raises(RangeError, match="swap pair"):
+            symmetry_swap_reduction(h_eff, pairs)
+
     def test_swap_symmetric_heff_doubles(self):
         # H_eff symmetric under the swap itself: H = 2 H_eff
         rng = np.random.default_rng(29)

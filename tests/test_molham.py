@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from whqrom.errors import ConfigError, FitError, GridError, RangeError, ScaleError
+from whqrom import molham
 from whqrom.molham import (
     ANGSTROM_TO_BOHR,
     Backend,
@@ -183,13 +184,20 @@ MATRIX_FREE_SYSTEMS = [
 ]
 
 
+def lanczos_levels(system, count):
+    """The Lanczos path of ``eigenvalues``, whatever the grid size."""
+    return molham._lowest_levels(
+        sop_operator(system.terms, system.dims), system.spec.grid_size, count
+    )
+
+
 class TestMatrixFree:
     @pytest.mark.parametrize("spec, decoupled", MATRIX_FREE_SYSTEMS)
     def test_lanczos_levels_match_dense(self, spec, decoupled):
         system = water_hamiltonian(spec, decoupled=decoupled)
         dense = eigh(system.h_dvr(), eigvals_only=True)
         for count in (1, 7, 8, 12):
-            got = system.eigenvalues(count)
+            got = lanczos_levels(system, count)
             assert got.shape == (count,)
             assert np.max(np.abs(got - dense[:count])) <= 1e-12
 
@@ -200,14 +208,41 @@ class TestMatrixFree:
         level6 = vecs[:, 6].reshape(small_system.dims)
         assert np.allclose(np.transpose(level6, (1, 0, 2)), -level6)
         dense = eigh(small_system.h_dvr(), eigvals_only=True)
-        assert abs(small_system.eigenvalues(8)[6] - dense[6]) <= 1e-12
+        assert abs(lanczos_levels(small_system, 8)[6] - dense[6]) <= 1e-12
 
     def test_lanczos_keeps_degenerate_copies(self, small_water):
         # the separable limit has pairs of equal levels; every copy is kept
         system = water_hamiltonian(small_water, decoupled=True)
         dense = eigh(system.h_dvr(), eigvals_only=True)
         for count in range(1, 21):
-            assert np.max(np.abs(system.eigenvalues(count) - dense[:count])) <= 1e-12
+            assert np.max(np.abs(lanczos_levels(system, count) - dense[:count])) <= 1e-12
+
+    @pytest.mark.parametrize(
+        "n_r, n_theta, count, path",
+        [
+            (8, 12, 8, "dense"),
+            (8, 16, 8, "lanczos"),
+            (8, 16, 32, "dense"),
+            (8, 16, 1, "lanczos"),
+            (12, 14, 8, "lanczos"),
+        ],
+    )
+    def test_dense_lanczos_crossover(self, monkeypatch, n_r, n_theta, count, path):
+        # 8x8x12 = 768 points is dense at any count; 8x8x16 = 1024 points
+        # is dense from 18 levels up (768 + 14 * 18 >= 1024)
+        system = water_hamiltonian(water_spec(n_r=n_r, n_theta=n_theta))
+        dense = eigh(system.h_dvr(), eigvals_only=True)[:count]
+        lanczos = molham._lowest_levels
+        calls = []
+
+        def spy(*args):
+            calls.append(args[1:])
+            return lanczos(*args)
+
+        monkeypatch.setattr(molham, "_lowest_levels", spy)
+        got = system.eigenvalues(count)
+        assert calls == ([] if path == "dense" else [(system.spec.grid_size, count)])
+        assert np.max(np.abs(got - dense)) <= 1e-12
 
     @pytest.mark.parametrize(
         "spec",

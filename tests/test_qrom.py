@@ -453,6 +453,17 @@ class TestInt64Boundary:
         assert np.array_equal(_butterfly(_butterfly(f.values)), values << eta)
 
 
+def parse_per_line(text):
+    """The wire parser with no memo: every line is parsed on its own."""
+    header, *lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    _, eta, b, anc = header.split()
+    gates = []
+    for line in lines:
+        op, *fields = line.split()
+        gates.append(qrom._GATE_KINDS[op].parse(fields))
+    return QromCircuit(int(eta), int(b), int(anc), tuple(gates))
+
+
 class TestSerialization:
     def test_round_trip(self):
         rng = np.random.default_rng(67)
@@ -484,6 +495,19 @@ class TestSerialization:
         assert lines[4] == "CNOT 0 6"
         assert lines[5] == "X 6"
 
+    def test_memoized_parse_equals_per_line_parse(self):
+        rng = np.random.default_rng(97)
+        for eta, d, epsilon in ((4, 5, 1e-300), (6, 8, 0.05), (8, 10, 2.0**-6)):
+            trunc = minimal_truncation(random_function(rng, eta, d), epsilon=epsilon)
+            gray = synthesize(trunc)
+            for circ in (gray, synthesize(trunc, Ordering.MAGNITUDE_DESCENDING), pair_cancel(gray, trunc)):
+                text = circuit_to_lines(circ)
+                lines = text.splitlines()
+                assert len(set(lines)) < len(lines)
+                parsed = circuit_from_lines(text)
+                assert parsed == parse_per_line(text) == circ
+                assert circuit_to_lines(parsed) == text
+
     @pytest.mark.parametrize(
         "text, message",
         [
@@ -502,6 +526,10 @@ class TestSerialization:
             ("QROM 2 4 1\nX 6\nX 6\nCNOT 0 2\n", r"line 4: .*qubit 2 outside \[6, 7\)"),
             ("QROM 2 4 1\n\nX 3\n", r"line 3: .*qubit 3 outside \[6, 7\)"),
             ("QROM 2 4 1\nCNOT 2 6\n", r"line 2: .*CNOT 2 6: control is a payload qubit"),
+            # a faulty line that repeats is named at its first occurrence
+            ("QROM 2 4 1\nX 6\nCNOT 0 1\nX 6\nCNOT 0 1\n", r"^line 3: .*qubit 1 outside"),
+            ("QROM 2 4 0\n ADD 1 4 7 7\nADD 1 4\nADD 1 4 7 7 \n", r"^line 2: cannot parse"),
+            ("QROM 2 4 0\nPFX 0x1 4\nADD 1 4\nPFX 0x1 4\nPFX 0x1 4\n", r"^line 5: .*adjacent PFX"),
         ],
     )
     def test_invalid_circuit_names_the_line(self, text, message):
