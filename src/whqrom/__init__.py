@@ -36,7 +36,6 @@ from .qrom import (
     cost,
     simulate,
     simulate_table,
-    multiplexed_rotation_unitary,
 )
 
 __version__ = "0.1.0"

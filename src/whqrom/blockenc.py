@@ -20,6 +20,13 @@ qubits carrying square-root amplitudes (one per isometry, which is what
 keeps the |1> branches from interfering), while the fused rotation route
 spends a single flag whose amplitude is linear in the matrix element.  Both
 encode A / (rho * max|A|); their unitaries differ (even in dimension).
+
+Each isometry's columns have pairwise disjoint supports of at most 2 rho
+entries (column j lives only at one system or index-register value), so it
+is completed to a unitary exactly by one Householder reflector per support
+and a unit column for every index outside all supports.  The isometries and
+their product stay sparse; the unitarity and residual checks run on the
+sparse product, and the stored unitary is its dense copy.
 """
 
 from __future__ import annotations
@@ -30,7 +37,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import null_space
 
 from .errors import (
     ParseError,
@@ -56,12 +62,15 @@ __all__ = [
     "of_sum_tensor",
     "sum_tensor_pattern",
     "of_angular_momentum",
-    "of_block_diagonal",
     "read_coo_csv",
 ]
 
 #: Largest total qubit count for which dense unitaries are materialized.
 MAX_DENSE_QUBITS = 13
+
+#: Largest system a coordinate-list CSV may hold: both d-sparse encodings
+#: must fit, and the standard one spends 2 + 2 eta qubits.
+MAX_COO_DIM = 1 << ((MAX_DENSE_QUBITS - 2) // 2)
 
 UNITARITY_TOL = 1e-10
 RESIDUAL_TOL = 1e-9
@@ -82,6 +91,8 @@ class BlockEncodingResult:
     ``operator`` is the target the construction aimed at; ``residual`` is
     the max-norm error of zeta * top-left-block against it, and both the
     residual and the unitarity deviation are enforced at construction.
+    ``unitary`` may be given as a ``scipy.sparse`` matrix: both checks then
+    run on the sparse form, and the stored unitary is its dense copy.
     """
 
     unitary: np.ndarray = field(repr=False)
@@ -89,10 +100,12 @@ class BlockEncodingResult:
     ancilla_qubits: int
     zeta: float
     operator: np.ndarray = field(repr=False)
-    residual: float = field(default=None)
+    residual: float = field(init=False)
+    unitarity_deviation: float = field(init=False)
 
     def __post_init__(self):
-        u = np.asarray(self.unitary)
+        sparse = hasattr(self.unitary, "toarray")
+        u = self.unitary if sparse else np.asarray(self.unitary)
         op = np.asarray(self.operator)
         n = 1 << self.system_qubits
         dim = 1 << (self.system_qubits + self.ancilla_qubits)
@@ -102,12 +115,22 @@ class BlockEncodingResult:
             raise ShapeError(f"operator must be {n}x{n}, got {op.shape}")
         if not self.zeta > 0:
             raise RangeError(f"zeta must be positive, got {self.zeta}")
-        gram_dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+        if sparse:
+            import scipy.sparse as sp
+
+            gram = u.conj().T @ u - sp.identity(dim, format="csr")
+            gram_dev = float(abs(gram).max())
+            top_left = u[:n, :n].toarray()
+        else:
+            gram_dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
+            top_left = u[:n, :n]
         if gram_dev > UNITARITY_TOL:
             raise ToleranceError(f"unitarity deviation {gram_dev:.3e} > {UNITARITY_TOL}")
-        res = float(np.max(np.abs(self.zeta * u[:n, :n] - op)))
+        res = float(np.max(np.abs(self.zeta * top_left - op)))
         if res > RESIDUAL_TOL:
             raise ToleranceError(f"sub-block residual {res:.3e} > {RESIDUAL_TOL}")
+        if sparse:
+            u = u.toarray()
         u.setflags(write=False)
         op.setflags(write=False)
         object.__setattr__(self, "unitary", u)
@@ -134,9 +157,9 @@ class BlockEncodingResult:
 class SparseOracle:
     """Row-sparse access to a real matrix with a symmetric nonzero pattern.
 
-    ``f(j, l)`` returns the column index of the l-th structural nonzero of
-    row j, injective over l < rho; rows with fewer actual nonzeros are
-    padded with distinct spare columns holding zeros.
+    ``columns[j, l]`` is the column index f(j, l) of the l-th structural
+    nonzero of row j, injective over l < rho; rows with fewer actual
+    nonzeros are padded with distinct spare columns holding zeros.
     """
 
     n: int
@@ -175,9 +198,6 @@ class SparseOracle:
     def max_abs(self) -> float:
         return float(np.max(np.abs(self.matrix)))
 
-    def f(self, j: int, l: int) -> int:
-        return int(self.columns[j, l])
-
     @staticmethod
     def from_dense(
         a: np.ndarray, rho: int | None = None, f: Callable[[int, int], int] | None = None
@@ -213,16 +233,65 @@ class SparseOracle:
         return SparseOracle(n=n, rho=max(rho, 1), matrix=m, columns=columns)
 
 
-def _complete_isometry(columns: np.ndarray) -> np.ndarray:
-    """Extend orthonormal columns to a full unitary via a null-space basis."""
-    comp = null_space(columns.conj().T)
-    return np.hstack([columns, comp])
+def _complete_isometry(columns: np.ndarray):
+    """Complete real orthonormal columns with disjoint supports to an orthogonal matrix.
+
+    Returns a ``scipy.sparse`` CSR matrix whose first columns are ``columns``.
+    A column v with support S (its nonzero rows) is completed on S by the
+    other columns of -sigma (I - 2 w w^T / w^T w), the Householder reflector
+    with w = v + sigma e_p, p = min S and sigma = sign(v_p), whose column p
+    is v; each row outside every support adds its unit column.  The
+    completing columns follow in the order of the rows they stand for (the
+    non-pivot rows of the supports and the rows outside them).  Overlapping
+    supports raise :class:`ShapeError`.
+    """
+    import scipy.sparse as sp
+
+    cols = np.asarray(columns, dtype=np.float64)
+    dim, n = cols.shape
+    owner, rows = np.nonzero(cols.T)  # grouped by column, rows ascending
+    if np.unique(rows).size != rows.size:
+        raise ShapeError("column supports overlap")
+    counts = np.bincount(owner, minlength=n)
+    if not counts.all():
+        raise ShapeError(f"column {int(np.argmin(counts))} is zero")
+    starts = np.cumsum(counts) - counts
+    pivot = np.zeros(dim, dtype=bool)
+    pivot[rows[starts]] = True
+    position = n - 1 + np.cumsum(~pivot)
+    outside = np.ones(dim, dtype=bool)
+    outside[rows] = False
+    r_parts = [rows, np.flatnonzero(outside)]
+    c_parts = [owner, position[outside]]
+    v_parts = [cols[rows, owner], np.ones(r_parts[1].size)]
+    for start, count in zip(starts.tolist(), counts.tolist()):
+        if count == 1:
+            continue
+        support = rows[start : start + count]
+        w = cols[support, owner[start]]
+        sigma = 1.0 if w[0] > 0 else -1.0
+        w[0] += sigma
+        block = (2.0 * sigma / (w @ w)) * np.outer(w, w[1:])
+        block[np.arange(1, count), np.arange(count - 1)] -= sigma
+        r_parts.append(np.repeat(support, count - 1))
+        c_parts.append(np.tile(position[support[1:]], count))
+        v_parts.append(block.ravel())
+    return sp.csr_matrix(
+        (np.concatenate(v_parts), (np.concatenate(r_parts), np.concatenate(c_parts))),
+        shape=(dim, dim),
+    )
 
 
 def _signed_sqrt_amplitudes(vals: np.ndarray, norm: float):
     main = np.sign(vals) * np.sqrt(np.abs(vals) / norm)
     rest = np.sqrt(1.0 - np.abs(vals) / norm)
     return main, rest
+
+
+def _slots(a: SparseOracle):
+    """Rows j and columns f(j, l) of every structural slot (j, l), and 1/sqrt(rho)."""
+    rows = np.repeat(np.arange(a.n), a.rho)
+    return rows, a.columns.reshape(-1), 1.0 / math.sqrt(a.rho)
 
 
 def dsparse_standard(a: SparseOracle) -> BlockEncodingResult:
@@ -242,27 +311,20 @@ def dsparse_standard(a: SparseOracle) -> BlockEncodingResult:
     m = a.matrix
     psi = np.zeros((dim, n))
     chi = np.zeros((dim, n))
-    scale = 1.0 / math.sqrt(rho)
+    j, c, scale = _slots(a)
 
     def index(f1, f2, p, s):
         return (((f1 << 1 | f2) << eta) | p) << eta | s
 
-    for j in range(n):
-        for l in range(rho):
-            p = a.f(j, l)
-            alpha, beta = _signed_sqrt_amplitudes(np.array([m[p, j]]), norm)
-            psi[index(0, 0, p, j), j] += scale * alpha[0]
-            psi[index(1, 0, p, j), j] += scale * beta[0]
-    for k in range(n):
-        for l in range(rho):
-            c = a.f(k, l)
-            mag = math.sqrt(abs(m[k, c]) / norm)
-            rest = math.sqrt(1.0 - abs(m[k, c]) / norm)
-            chi[index(0, 0, k, c), k] += scale * mag
-            chi[index(0, 1, k, c), k] += scale * rest
-    u1 = _complete_isometry(psi)
-    u2 = _complete_isometry(chi)
-    unitary = u2.conj().T @ u1
+    # column j of psi: index register p = f(j, l), system register j
+    alpha, beta = _signed_sqrt_amplitudes(m[c, j], norm)
+    psi[index(0, 0, c, j), j] = scale * alpha
+    psi[index(1, 0, c, j), j] = scale * beta
+    # column k of chi: index register k, system register f(k, l)
+    mag, rest = _signed_sqrt_amplitudes(np.abs(m[j, c]), norm)
+    chi[index(0, 0, j, c), j] = scale * mag
+    chi[index(0, 1, j, c), j] = scale * rest
+    unitary = _complete_isometry(chi).T @ _complete_isometry(psi)
     return BlockEncodingResult(
         unitary=unitary,
         system_qubits=eta,
@@ -289,26 +351,18 @@ def dsparse_fused(a: SparseOracle) -> BlockEncodingResult:
     m = a.matrix
     psi = np.zeros((dim, n))
     chi = np.zeros((dim, n))
-    scale = 1.0 / math.sqrt(rho)
+    j, c, scale = _slots(a)
 
     def index(flag, p, s):
         return ((flag << eta) | p) << eta | s
 
-    for j in range(n):
-        for l in range(rho):
-            c = a.f(j, l)
-            amp = m[c, j] / norm
-            # post-swap state: the index register holds the source column j,
-            # the system register the target row c
-            psi[index(0, j, c), j] += scale * amp
-            psi[index(1, j, c), j] += scale * math.sqrt(1.0 - amp * amp)
-    for k in range(n):
-        for l in range(rho):
-            c = a.f(k, l)
-            chi[index(0, c, k), k] += scale
-    u1 = _complete_isometry(psi)
-    u2 = _complete_isometry(chi)
-    unitary = u2.conj().T @ u1
+    amp = m[c, j] / norm
+    # post-swap state: the index register holds the source column j, the
+    # system register the target row c = f(j, l)
+    psi[index(0, j, c), j] = scale * amp
+    psi[index(1, j, c), j] = scale * np.sqrt(1.0 - amp * amp)
+    chi[index(0, c, j), j] = scale
+    unitary = _complete_isometry(chi).T @ _complete_isometry(psi)
     return BlockEncodingResult(
         unitary=unitary,
         system_qubits=eta,
@@ -388,12 +442,10 @@ def exact_table_qrom(values: Sequence[int], eta: int, d: int) -> QromCircuit:
 
 
 def _lcu_prepare(weights: np.ndarray, a_prime: int) -> np.ndarray:
-    """Dense unitary whose first column is sqrt(weights / sum)."""
-    dim = 1 << a_prime
-    col = np.zeros(dim)
+    """Dense orthogonal matrix whose first column is sqrt(weights / sum)."""
+    col = np.zeros(1 << a_prime)
     col[: weights.shape[0]] = np.sqrt(weights / np.sum(weights))
-    g = _complete_isometry(col[:, None])
-    return g
+    return _complete_isometry(col[:, None]).toarray()
 
 
 def diag_no_rotation(
@@ -694,27 +746,13 @@ def of_angular_momentum(j_total: int) -> Callable[[int, int], int]:
     return oracle
 
 
-def of_block_diagonal(eta1: int, eta2: int) -> Callable[[int, int], int]:
-    """Column oracle for M[(k, m), (k', m')] = M^(m)[k, k'] delta(m, m').
-
-    Rows are j = k + 2**eta1 * m; the l-th nonzero of row j is l in the
-    same block, so the oracle just copies the block label m (CNOT-copy
-    semantics on the upper eta2 bits).
-    """
-
-    def oracle(j: int, l: int) -> int:
-        if not 0 <= j < 1 << (eta1 + eta2):
-            raise RangeError(f"row {j} out of range")
-        if not 0 <= l < 1 << eta1:
-            raise RangeError(f"l = {l} outside the block width")
-        m = j >> eta1
-        return l + (m << eta1)
-
-    return oracle
-
-
 def read_coo_csv(path, n: int | None = None) -> np.ndarray:
-    """Dense matrix from a (row, col, value) coordinate-list CSV."""
+    """Dense matrix from a (row, col, value) coordinate-list CSV.
+
+    The dimension (``n``, or the largest index plus one) is at most
+    :data:`MAX_COO_DIM`; a larger one raises :class:`ScaleError` before the
+    matrix is allocated.
+    """
     entries = []
     try:
         fh = open(path, newline="")
@@ -735,8 +773,11 @@ def read_coo_csv(path, n: int | None = None) -> np.ndarray:
     if not entries:
         raise ParseError(f"{path}: no entries")
     size = n if n is not None else max(max(r, c) for r, c, _ in entries) + 1
-    if size > 1 << MAX_DENSE_QUBITS:
-        raise ScaleError(f"{path}: dimension {size} exceeds 2**{MAX_DENSE_QUBITS}")
+    if size > MAX_COO_DIM:
+        raise ScaleError(
+            f"{path}: dimension {size} exceeds MAX_COO_DIM = {MAX_COO_DIM}, the largest "
+            f"system whose d-sparse encodings fit {MAX_DENSE_QUBITS} qubits"
+        )
     out = np.zeros((size, size))
     for r, c, v in entries:
         if not (0 <= r < size and 0 <= c < size):

@@ -167,16 +167,21 @@ def cmd_compare(args) -> dict:
 
 
 def cmd_dvr_check(args) -> dict:
+    # default: the largest power of two dividing n, at most the Hermite
+    # limit for both families; an explicit longer Hermite segment is refused
+    # before any array is built
+    max_segment = dvr.MAX_HERMITE_SEGMENT
+    segment = min(max_segment, args.n & -args.n) if args.segment is None else args.segment
+    if args.kind == "hermite" and segment > max_segment:
+        raise RangeError(
+            f"--segment {segment} exceeds the Hermite limit MAX_HERMITE_SEGMENT = {max_segment}"
+        )
     quad = dvr.gauss_quadrature(args.kind, args.n)
     transform = dvr.build_transform(quad)
     gram_err = float(
         np.max(np.abs(transform.matrix.T @ transform.matrix - np.eye(args.n)))
     )
     moment_err = _quadrature_exactness_error(quad)
-    # default: the largest power of two dividing n, at most 32, since the
-    # column recursion loses accuracy over longer segments (Hermite n = 64
-    # rebuilt from one 64-column segment misses by 5e-3)
-    segment = min(32, args.n & -args.n) if args.segment is None else args.segment
     if segment < 1:
         raise ConfigError(f"--segment must be at least 1, got {segment}")
     if args.n % segment or segment & (segment - 1):

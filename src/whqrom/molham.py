@@ -60,7 +60,6 @@ __all__ = [
     "qpe_cost",
     "fit_scaling",
     "discretization_bound_check",
-    "m_epsilon",
 ]
 
 DALTON_TO_AU = 1822.888486209
@@ -428,12 +427,6 @@ class WaterSystem:
                 f"grid size {self.spec.grid_size} exceeds the dense limit {MAX_DENSE_GRID}"
             )
         return assemble_dense(self.terms, self.dims)
-
-    def h_fbr(self) -> np.ndarray:
-        t_full = np.ones((1, 1))
-        for mode in reversed(self.modes):
-            t_full = np.kron(mode.t, t_full)
-        return t_full.T @ self.h_dvr() @ t_full
 
     def eigenvalues(self, count: int) -> np.ndarray:
         """The lowest ``count`` levels in Hartree, ascending.
@@ -1240,10 +1233,3 @@ def discretization_bound_check(
     measured = float(np.max(np.abs(np.exp(1j * math.pi * tf) - np.exp(1j * math.pi * tc))))
     bound = 2.0 * math.pi * grad_bound * math.sqrt(dims / 4.0**m)
     return measured, bound
-
-
-def m_epsilon(grad_bound: float, dims: int, epsilon: float) -> int:
-    """Per-coordinate bits needed for an epsilon-accurate phase unitary."""
-    if not epsilon > 0:
-        raise RangeError(f"epsilon must be positive, got {epsilon}")
-    return max(1, math.ceil(math.log2(math.sqrt(dims) * grad_bound / (2.0 * math.pi * epsilon))))

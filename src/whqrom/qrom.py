@@ -37,7 +37,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import ParseError, RangeError, ScaleError, ShapeError, ToleranceError
-from .wht import SampledFunction, TruncatedSpectrum, _butterfly
+from .wht import TruncatedSpectrum, _butterfly
 
 __all__ = [
     "Ordering",
@@ -55,7 +55,6 @@ __all__ = [
     "simulate",
     "simulate_table",
     "MAX_TABLE_ETA",
-    "multiplexed_rotation_unitary",
     "circuit_to_lines",
     "circuit_from_lines",
 ]
@@ -678,49 +677,6 @@ def _payload(spectrum: dict, sign: int, y0: int, eta: int, b: int) -> np.ndarray
     parity = (np.bitwise_count(x & sign) & 1).astype(np.int64)
     ones = (1 << b) - 1
     return ((t + y0) & ones) ^ (parity * ones)
-
-
-# ---------------------------------------------------------------------------
-# Multiplexed rotation (dense, desk scale)
-# ---------------------------------------------------------------------------
-
-
-def multiplexed_rotation_unitary(f: SampledFunction) -> np.ndarray:
-    """Dense multiplexed rotation on a flag qubit, one block per address x.
-
-    Returns the 2**(eta+1)-dimensional real orthogonal matrix whose x-block
-    is [[cos a, -sin a], [sin a, cos a]] with a = 2*pi*f(x)/2**d (the flag
-    qubit is the most significant).  The matrix is built two ways, directly
-    and as (Sdg H (x) 1) D_F (H S (x) 1) with D_F the diagonal unitary of
-    the sign-extended function F(a, x) = (-1)**a f(x); both must agree to
-    1e-12 or :class:`ToleranceError` is raised.
-    """
-    eta, d = f.eta, f.d
-    if eta + 1 + d > 14:
-        raise ScaleError(f"eta + 1 + d = {eta + 1 + d} exceeds the desk-scale limit 14")
-    n = 1 << eta
-    angles = 2.0 * np.pi * np.asarray(f.values, dtype=np.float64) / (1 << d)
-    direct = np.zeros((2 * n, 2 * n), dtype=np.float64)
-    c, s = np.cos(angles), np.sin(angles)
-    idx = np.arange(n)
-    direct[idx, idx] = c
-    direct[idx, n + idx] = -s
-    direct[n + idx, idx] = s
-    direct[n + idx, n + idx] = c
-
-    h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-    s_gate = np.diag([1.0, 1.0j])
-    hs = h @ s_gate
-    sdh = s_gate.conj().T @ h
-    phases = np.concatenate([np.exp(1j * angles), np.exp(-1j * angles)])
-    d_f = np.diag(phases)
-    composed = np.kron(sdh, np.eye(n)) @ d_f @ np.kron(hs, np.eye(n))
-    deviation = float(np.max(np.abs(composed - direct)))
-    if deviation > 1e-12:
-        raise ToleranceError(
-            f"rotation constructions disagree by {deviation:.3e} > 1e-12"
-        )
-    return direct
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,19 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from hypothesis import given, settings, strategies as st
+from scipy.linalg import null_space
 
+from whqrom import blockenc
 from whqrom.blockenc import (
+    MAX_COO_DIM,
+    BlockEncodingResult,
     SparseOracle,
     diag_no_rotation,
     dsparse_fused,
@@ -12,7 +22,6 @@ from whqrom.blockenc import (
     exact_table_qrom,
     lcu_sum,
     of_angular_momentum,
-    of_block_diagonal,
     of_sum_tensor,
     product_be,
     read_coo_csv,
@@ -40,6 +49,138 @@ def random_sparse_symmetric(rng, n, rho):
             m[j, k] = v
             m[k, j] = v if k != j else m[j, k]
     return m
+
+
+def null_space_completion(columns):
+    """Orthonormal columns extended to a unitary by an SVD null-space basis."""
+    return np.hstack([columns, null_space(columns.conj().T)])
+
+
+@st.composite
+def disjoint_columns(draw):
+    """Orthonormal columns on disjoint random supports of 1 .. 2 rho rows.
+
+    Entries mix random values of both signs (so a support's leading entry is
+    often negative), exact +-1 and exact zeros: a zero is a structural slot
+    the column leaves empty.
+    """
+    rho = draw(st.integers(min_value=1, max_value=3))
+    dim = 1 << draw(st.integers(min_value=1, max_value=6))
+    rows = draw(st.permutations(range(dim)))
+    # magnitudes from 1e-150 up, so the squared norm stays a normal float
+    entries = st.one_of(
+        st.floats(min_value=1e-150, max_value=1),
+        st.floats(min_value=-1, max_value=-1e-150),
+        st.sampled_from([0.0, 1.0, -1.0]),
+    )
+    columns, start = [], 0
+    for size in draw(st.lists(st.integers(min_value=1, max_value=2 * rho), min_size=1, max_size=8)):
+        size = min(size, dim - start)
+        if size == 0:
+            break
+        vals = np.array(draw(st.lists(entries, min_size=size, max_size=size)))
+        if not np.any(vals):
+            vals[-1] = -1.0
+        col = np.zeros(dim)
+        col[rows[start : start + size]] = vals / np.linalg.norm(vals)
+        columns.append(col)
+        start += size
+    return np.stack(columns, axis=1)
+
+
+class TestHouseholderCompletion:
+    @settings(max_examples=200, deadline=None)
+    @given(columns=disjoint_columns())
+    def test_completes_to_an_orthogonal_matrix(self, columns):
+        dim, n = columns.shape
+        q = blockenc._complete_isometry(columns)
+        assert sp.issparse(q) and q.shape == (dim, dim)
+        q = q.toarray()
+        assert np.max(np.abs(q.T @ q - np.eye(dim))) <= 1e-14
+        assert np.max(np.abs(q[:, :n] - columns)) <= 4 * 2.0**-52
+
+    def test_overlapping_supports_raise(self):
+        h = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0]]) / math.sqrt(2.0)
+        with pytest.raises(ShapeError, match="overlap"):
+            blockenc._complete_isometry(h)
+
+    def test_zero_column_raises(self):
+        with pytest.raises(ShapeError, match="column 1 is zero"):
+            blockenc._complete_isometry(np.array([[1.0, 0.0], [0.0, 0.0]]))
+
+
+def full_rows(rng, n, rho):
+    """Every row holds exactly rho nonzeros: diagonal, 2x2 blocks or tridiagonal."""
+    m = np.diag(rng.uniform(0.2, 1.0, size=n))
+    if rho == 2:
+        off = rng.uniform(-0.8, 0.8, size=n // 2)
+        m[np.arange(0, n, 2), np.arange(1, n, 2)] = off
+        m[np.arange(1, n, 2), np.arange(0, n, 2)] = off
+    elif rho == 3:
+        off = rng.uniform(-0.8, 0.8, size=n - 1)
+        m[np.arange(n - 1), np.arange(1, n)] = off
+        m[np.arange(1, n), np.arange(n - 1)] = off
+    return m
+
+
+def padded_rows(rng, n, rho):
+    """At most rho nonzeros per row and row 0 empty, so slots are zero-padded."""
+    m = random_sparse_symmetric(rng, n, rho)
+    m[0, :] = m[:, 0] = 0.0
+    m[n - 1, n - 1] = -0.5
+    return m
+
+
+class TestAgainstNullSpaceRoute:
+    @pytest.mark.parametrize("build", [dsparse_standard, dsparse_fused])
+    @pytest.mark.parametrize("pattern", [full_rows, padded_rows])
+    @pytest.mark.parametrize("rho", [1, 2, 3])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_same_block_both_unitary(self, monkeypatch, build, pattern, rho, n):
+        m = pattern(np.random.default_rng(7 * n + rho), n, rho)
+        oracle = SparseOracle.from_dense(m, rho=rho)
+        result = build(oracle)
+        monkeypatch.setattr(blockenc, "_complete_isometry", null_space_completion)
+        oracle_result = build(oracle)
+        assert np.max(np.abs(result.sub_block() - oracle_result.sub_block())) <= 1e-15
+        for r in (result, oracle_result):
+            u = r.unitary
+            assert np.max(np.abs(u.T @ u - np.eye(u.shape[0]))) <= 1e-10
+            assert r.residual <= 1e-9
+
+
+class TestSparseChecks:
+    @pytest.mark.parametrize("build", [dsparse_standard, dsparse_fused])
+    def test_sparse_checks_match_dense_formula(self, build):
+        m = full_rows(np.random.default_rng(53), 8, 3)
+        dense = build(SparseOracle.from_dense(m, rho=3))
+        result = BlockEncodingResult(
+            unitary=sp.csr_matrix(dense.unitary),
+            system_qubits=dense.system_qubits,
+            ancilla_qubits=dense.ancilla_qubits,
+            zeta=dense.zeta,
+            operator=dense.operator,
+        )
+        u, n = dense.unitary, 1 << dense.system_qubits
+        gram = float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
+        res = float(np.max(np.abs(dense.zeta * u[:n, :n] - m)))
+        assert abs(result.unitarity_deviation - gram) <= 1e-15
+        assert abs(result.residual - res) <= 1e-15
+        assert type(result.unitary) is np.ndarray and not result.unitary.flags.writeable
+        assert np.array_equal(result.unitary, u)
+
+    def test_check_values_are_not_arguments(self):
+        with pytest.raises(TypeError):
+            BlockEncodingResult(np.eye(2), 0, 1, 1.0, np.eye(1), residual=0.0)
+
+
+def test_cli_import_does_not_load_scipy_sparse():
+    # the table and molecule commands never build a block encoding
+    src = Path(blockenc.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    code = "import sys, whqrom.cli; sys.exit('scipy.sparse' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
 
 class TestDsparseStandard:
@@ -116,14 +257,14 @@ class TestDsparseFused:
 
 class TestBlockDiagonalOracle:
     def test_matches_generic_enumeration(self):
-        # two 2x2 dense blocks: f((k, m), l) = l + block offset
+        # two 2x2 dense blocks, passed as an explicit column function:
+        # f((k, m), l) = l + block offset
         rng = np.random.default_rng(13)
         blocks = [rng.uniform(-1, 1, size=(2, 2)) for _ in range(2)]
         m = np.zeros((4, 4))
         m[:2, :2] = blocks[0]
         m[2:, 2:] = blocks[1]
-        f = of_block_diagonal(eta1=1, eta2=1)
-        oracle = SparseOracle.from_dense(m, rho=2, f=f)
+        oracle = SparseOracle.from_dense(m, rho=2, f=lambda j, l: l + (j & ~1))
         generic = SparseOracle.from_dense(m, rho=2)
         for j in range(4):
             assert sorted(oracle.columns[j]) == sorted(generic.columns[j])
@@ -385,6 +526,23 @@ class TestCooIngestion:
         assert np.array_equal(m, expected)
         result = dsparse_standard(SparseOracle.from_dense(m))
         assert result.residual < 1e-10
+
+    def test_size_limit_fits_both_dsparse_encodings(self, tmp_path):
+        assert 2 + 2 * (MAX_COO_DIM.bit_length() - 1) <= blockenc.MAX_DENSE_QUBITS
+        path = tmp_path / "edge.csv"
+        path.write_text(f"0,0,1.0\n{MAX_COO_DIM - 1},{MAX_COO_DIM - 1},1.0\n")
+        assert read_coo_csv(path).shape == (MAX_COO_DIM, MAX_COO_DIM)
+        path.write_text(f"0,0,1.0\n{MAX_COO_DIM},{MAX_COO_DIM},1.0\n")
+        with pytest.raises(ScaleError, match="MAX_COO_DIM"):
+            read_coo_csv(path)
+
+    def test_oversized_index_refused_before_allocation(self, tmp_path, monkeypatch):
+        path = tmp_path / "big.csv"
+        path.write_text("0,0,1.0\n8191,8191,1.0\n")
+        # with numpy unusable, only a guard raised before any allocation passes
+        monkeypatch.setattr(blockenc, "np", None)
+        with pytest.raises(ScaleError, match="MAX_COO_DIM"):
+            read_coo_csv(path)
 
     def test_bad_line(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -161,6 +161,22 @@ class TestDvrCheck:
         assert report["quadratureMomentError"] < 1e-11
         assert report["recursionError"] < 1e-8
 
+    def test_long_hermite_segment_is_refused_before_the_build(self, tmp_path, capsys, monkeypatch):
+        # --n 64 --segment 64 once ran the whole check and exited 4
+        from whqrom import dvr
+
+        assert run(tmp_path, "dvr-check", "--n", "64", "--segment", "64") == 0
+
+        def unreachable(*args):
+            raise AssertionError("quadrature built before the segment check")
+
+        monkeypatch.setattr(dvr, "gauss_quadrature", unreachable)
+        for n in ("64", "128"):
+            code = run(tmp_path, "dvr-check", "--kind", "hermite", "--n", n, "--segment", n)
+            assert code == 2
+            err = capsys.readouterr().err
+            assert "MAX_HERMITE_SEGMENT = 32" in err and "Traceback" not in err
+
     def test_hermite_limit_is_a_config_error(self, tmp_path, capsys):
         from whqrom.dvr import MAX_HERMITE_POINTS
 
@@ -211,6 +227,17 @@ class TestBlockencVerify:
         path.write_text("0,0,0.5\n0,1,0.25\n1,0,0.25\n1,1,-0.75\n")
         code = run(tmp_path, "blockenc-verify", "--input", str(path))
         assert code == 0
+
+    def test_oversized_coo_input_is_refused_before_allocation(self, tmp_path, capsys, monkeypatch):
+        # index 8191 once took 16 s and 572 MB before the dense scale check
+        from whqrom import blockenc
+
+        path = tmp_path / "m.csv"
+        path.write_text("0,0,1.0\n8191,8191,1.0\n")
+        monkeypatch.setattr(blockenc, "np", None)
+        assert run(tmp_path, "blockenc-verify", "--input", str(path)) == 2
+        err = capsys.readouterr().err
+        assert "MAX_COO_DIM = 32" in err and err.count("\n") == 1
 
 
 class TestMolham:

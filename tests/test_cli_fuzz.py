@@ -2,8 +2,9 @@
 
 Every argument list, however malformed, must end in a documented exit code
 (0 ok, 2 config, 3 parse, 4 tolerance) with no traceback on stderr.  Sizes
-stay small (eta <= 10, dimensions <= 16, grids <= 8 x 8 x 8), so
-no example allocates more than a few MiB.
+stay small (eta <= 10, dimensions <= 16, grids <= 8 x 8 x 8), and larger
+ones only where they must be refused before allocation, so no example
+allocates more than a few MiB.
 """
 
 import contextlib
@@ -85,9 +86,34 @@ def dvr_command(draw):
 
 
 @st.composite
+def coo_matrix(draw):
+    """Coordinate-list text of a matrix up to 16 x 16, of any size and pattern.
+
+    The pattern is symmetric or not, and one extra entry may sit at an index
+    past blockenc.MAX_COO_DIM = 32 (32 itself makes the dimension 33).
+    """
+    size = draw(st.sampled_from([1, 2, 3, 4, 5, 6, 8, 12, 16]))
+    index = st.integers(min_value=0, max_value=size - 1)
+    values = st.sampled_from(["0.5", "-0.25", "1", "-1", "0", "1e-300"])
+    symmetric = draw(st.booleans())
+    lines = []
+    for r, c in draw(st.lists(st.tuples(index, index), min_size=1, max_size=8)):
+        lines.append(f"{r},{c},{draw(values)}")
+        if symmetric and r != c:
+            lines.append(f"{c},{r},{draw(values)}")
+    if draw(st.booleans()):
+        big = draw(st.sampled_from([32, 33, 8191, 10**6]))
+        lines.append(f"{big},{big},1.0")
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
 def blockenc_command(draw):
     args = ["blockenc-verify"]
-    if draw(st.booleans()):
+    source = draw(st.sampled_from(["rows", "matrix", "random"]))
+    if source == "matrix":
+        return args + ["--input", "{dir}/m.csv"], ("m.csv", draw(coo_matrix()).encode())
+    if source == "rows":
         rows = draw(
             st.lists(
                 st.tuples(
@@ -190,13 +216,25 @@ commands = st.one_of(
 )
 # dvr-check sizes beyond the drawn range: the default segment (64, 48), the
 # Hermite moments past float64 overflow (172, 256) and the Hermite limit
-# (372); and segment 0, which must be refused before n % segment
+# (372); segment 0, which must be refused before n % segment; a Hermite
+# segment past MAX_HERMITE_SEGMENT; and a COO index far past MAX_COO_DIM,
+# which must be refused before the dense matrix is built
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "64"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "48"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "172"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "256"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "372"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--n", "16", "--segment", "0"], None), seed=0, fmt="json")
+@example(
+    command=(["dvr-check", "--kind", "hermite", "--n", "64", "--segment", "64"], None),
+    seed=0,
+    fmt="json",
+)
+@example(
+    command=(["blockenc-verify", "--input", "{dir}/m.csv"], ("m.csv", b"0,0,1.0\n8191,8191,1.0\n")),
+    seed=0,
+    fmt="json",
+)
 def test_cli_exit_code_contract(command, seed, fmt):
     argv, file = command
     with tempfile.TemporaryDirectory() as tmp:

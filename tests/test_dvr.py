@@ -5,6 +5,7 @@ import pytest
 from scipy.linalg import eigh
 
 from whqrom.dvr import (
+    MAX_HERMITE_SEGMENT,
     QuadratureKind,
     build_transform,
     dvr_oracle_cost,
@@ -175,6 +176,13 @@ class TestRecursion:
     def test_segment_must_divide(self):
         with pytest.raises(ShapeError):
             recursion_coeffs("legendre", 12, 8)
+
+    def test_hermite_segment_limit(self):
+        # a 64-column Hermite segment rebuilt its columns with error 5.1e-3
+        recursion_coeffs("legendre", 64, 64)
+        recursion_coeffs("hermite", 64, MAX_HERMITE_SEGMENT)
+        with pytest.raises(RangeError, match="MAX_HERMITE_SEGMENT"):
+            recursion_coeffs("hermite", 64, 2 * MAX_HERMITE_SEGMENT)
 
     def test_missing_init_column(self):
         q = gauss_quadrature("legendre", 8)

@@ -18,7 +18,6 @@ from whqrom.qrom import (
     circuit_from_lines,
     circuit_to_lines,
     cost,
-    multiplexed_rotation_unitary,
     pair_cancel,
     simulate,
     simulate_table,
@@ -367,40 +366,6 @@ class TestPairCancel:
         b = 6 + 5
         for y0 in (0, 1, (1 << b) - 1):
             assert np.array_equal(simulate_table(circ, y0), simulate_table(optimized, y0))
-
-
-class TestMultiplexedRotation:
-    def test_zero_function_identity(self):
-        f = SampledFunction(eta=3, d=4, values=np.zeros(8, dtype=np.int64))
-        u = multiplexed_rotation_unitary(f)
-        assert np.allclose(u, np.eye(16), atol=1e-14)
-
-    def test_uniform_quarter_turn(self):
-        d = 5
-        f = SampledFunction(eta=2, d=d, values=np.full(4, 1 << (d - 2)))
-        u = multiplexed_rotation_unitary(f)
-        block = np.array([[0.0, -1.0], [1.0, 0.0]])
-        for x in range(4):
-            got = np.array([[u[x, x], u[x, 4 + x]], [u[4 + x, x], u[4 + x, 4 + x]]])
-            assert np.allclose(got, block, atol=1e-12)
-
-    def test_random_blocks_match_per_x_rotations(self):
-        rng = np.random.default_rng(43)
-        eta, d = 4, 5
-        f = random_function(rng, eta, d)
-        u = multiplexed_rotation_unitary(f)
-        n = 1 << eta
-        for x in range(n):
-            a = 2 * np.pi * int(f.values[x]) / (1 << d)
-            block = np.array([[np.cos(a), -np.sin(a)], [np.sin(a), np.cos(a)]])
-            got = np.array([[u[x, x], u[x, n + x]], [u[n + x, x], u[n + x, n + x]]])
-            assert np.allclose(got, block, atol=1e-12)
-        assert np.allclose(u @ u.T, np.eye(2 * n), atol=1e-12)
-
-    def test_scale_guard(self):
-        f = SampledFunction(eta=8, d=8, values=np.zeros(256, dtype=np.int64))
-        with pytest.raises(ScaleError):
-            multiplexed_rotation_unitary(f)
 
 
 class TestPhaseKickback:
