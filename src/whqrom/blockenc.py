@@ -26,7 +26,9 @@ entries (column j lives only at one system or index-register value), so it
 is completed to a unitary exactly by one Householder reflector per support
 and a unit column for every index outside all supports.  The isometries and
 their product stay sparse; the unitarity and residual checks run on the
-sparse product, and the stored unitary is its dense copy.
+sparse product, and the stored unitary is its dense copy.  The fused
+diagonal rotation (two nonzeros per column) and the symmetry CSWAP
+reduction's [[S, D], [D, S]] are handed to the checks in sparse form too.
 """
 
 from __future__ import annotations
@@ -387,14 +389,13 @@ def dsparse_fused_diagonal(diag: np.ndarray) -> BlockEncodingResult:
         raise RangeError("zero matrix has a degenerate max-norm")
     eta = n.bit_length() - 1
     _check_dense_scale(eta + 1)
+    import scipy.sparse as sp
+
     amp = d / norm
     rest = np.sqrt(1.0 - amp * amp)
-    unitary = np.zeros((2 * n, 2 * n))
-    idx = np.arange(n)
-    unitary[idx, idx] = amp
-    unitary[n + idx, idx] = rest
-    unitary[idx, n + idx] = -rest
-    unitary[n + idx, n + idx] = amp
+    unitary = sp.bmat(
+        [[sp.diags(amp), sp.diags(-rest)], [sp.diags(rest), sp.diags(amp)]], format="csr"
+    )
     result = BlockEncodingResult(
         unitary=unitary,
         system_qubits=eta,
@@ -623,7 +624,9 @@ def symmetry_swap_reduction(
     listed system qubit pairs.  It is built by indexing, not by dense
     products: SWAP acts on the inner (ancilla, system) index as the
     permutation p(a n + s) = a n + perm(s), so with M = U_eff[p][:, p] the
-    unitary is [[S, D], [D, S]], S = (U_eff + M) / 2, D = (U_eff - M) / 2.
+    unitary is [[S, D], [D, S]], S = (U_eff + M) / 2, D = (U_eff - M) / 2,
+    built and checked as a sparse matrix (U_eff is as sparse as its own
+    construction, and each column of U has at most twice its nonzeros).
     That block form needs SWAP to be its own inverse, so the pairs must
     exchange two distinct system qubits each and share no qubit; anything
     else (a repeated, overlapping or self-pair) raises :class:`RangeError`.
@@ -647,11 +650,13 @@ def symmetry_swap_reduction(
             )
         used.update((qa, qb))
         perm ^= (((perm >> qa) ^ (perm >> qb)) & 1) * ((1 << qa) | (1 << qb))
+    import scipy.sparse as sp
+
     inner = (np.arange(1 << h_eff.ancilla_qubits)[:, None] * n + perm).reshape(-1)
-    u_eff = np.asarray(h_eff.unitary)
+    u_eff = sp.csr_matrix(h_eff.unitary)
     swapped = u_eff[inner][:, inner]
     same, differ = (u_eff + swapped) / 2, (u_eff - swapped) / 2
-    unitary = np.block([[same, differ], [differ, same]])
+    unitary = sp.bmat([[same, differ], [differ, same]], format="csr")
     op = np.asarray(h_eff.operator)
     constructed = op + op[perm][:, perm]
     if full_operator is not None:

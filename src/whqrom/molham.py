@@ -330,22 +330,35 @@ def sop_operator(terms: Sequence[Term], dims: Sequence[int]) -> Callable[[np.nda
     Factors are applied mode by mode in term order.  A factor with no
     nonzero off-diagonal entry is applied as a broadcast multiply by its
     diagonal, which gives the same products as the matrix contraction.
+    Every other factor on mode i is one matmul, ``f @ t`` with t the tensor
+    viewed as (n_i, rest) with mode i moved to the front, and the product
+    viewed back with mode i in place.  These are the products, on the same
+    operand layouts, that ``np.tensordot`` + ``np.moveaxis`` hand to BLAS,
+    without their per-call argument handling in Python (most of their time
+    here).  The layouts matter: BLAS rounds by transposition and size, and
+    a natural-layout matmul (mode 0 as ``f @ t.reshape(n0, -1)``, the last
+    mode as ``t.reshape(-1, n) @ f.T``, a middle mode batched) moves
+    results by an ulp on grids such as 10x10x16 or 8x8x20.  The tests keep
+    the contraction (``_tensordot_matvec``) as the oracle the result must
+    equal byte for byte.
     """
     dims = tuple(dims)
     plan = []
     for term in terms:
-        steps = []
+        steps = []  # (diagonal, None, None, None) or (f, moved order, moved shape, inverse order)
         for i, f in enumerate(term.factors):
             if f is None:
                 continue
             f = np.asarray(f)
             diag = np.diag(f)
-            if np.count_nonzero(f - np.diag(diag)):
-                steps.append((i, f, None))
-            else:
+            if not np.count_nonzero(f - np.diag(diag)):
                 shape = [1] * len(dims)
                 shape[i] = dims[i]
-                steps.append((i, None, diag.reshape(shape)))
+                steps.append((diag.reshape(shape), None, None, None))
+            else:
+                rest = [j for j in range(len(dims)) if j != i]
+                order = (i, *rest)
+                steps.append((f, order, tuple(dims[j] for j in order), tuple(np.argsort(order))))
         plan.append(steps)
 
     def matvec(vec: np.ndarray) -> np.ndarray:
@@ -353,11 +366,12 @@ def sop_operator(terms: Sequence[Term], dims: Sequence[int]) -> Callable[[np.nda
         out = np.zeros_like(tensor)
         for steps in plan:
             cur = tensor
-            for i, dense, diag in steps:
-                if dense is None:
-                    cur = cur * diag
+            for a, order, moved, back in steps:
+                if order is None:
+                    cur = cur * a
                 else:
-                    cur = np.moveaxis(np.tensordot(dense, cur, axes=([1], [i])), 0, i)
+                    t = cur.transpose(order).reshape(moved[0], -1)
+                    cur = (a @ t).reshape(moved).transpose(back)
             out += cur
         return out.reshape(-1)
 
@@ -370,25 +384,41 @@ def sop_max_abs(terms: Sequence[Term], dims: Sequence[int]) -> float:
     H is built one row block per first-mode index: each block adds the same
     Kronecker products as assemble_dense, in its term order.  A product
     whose first-mode entry is zero only adds zeros (x + 0.0 == x up to the
-    sign of zero), so it is skipped; the result equals
-    np.max(np.abs(assemble_dense(terms, dims))) exactly.
+    sign of zero), so it is skipped, and so are the zero entries of each
+    term's inner block (the Kronecker product of its other modes, mostly
+    identities and diagonals, a few per cent nonzero on water grids): a
+    block at most half nonzero is added at its nonzeros only, by flat
+    index, and a denser one whole, by column slices.  The dense blocks are
+    the inner factors of two-mode chains, where adding them by flat index
+    too is 2-3 times slower (coupled chains, one BLAS thread, medians:
+    32x64 66 ms against 26 ms, 64x64 241 ms against 94 ms).  The result
+    equals np.max(np.abs(assemble_dense(terms, dims))) exactly.
     """
-    width = 1
-    for n in dims[1:]:
-        width *= n
+    width = math.prod(dims[1:])
+    span = dims[0] * width
     inner = []
     for term in terms:
         block = np.ones((1, 1))
         for i in range(len(dims) - 1, 0, -1):
             block = np.kron(term.factor(i, dims), block)
-        inner.append((term.factor(0, dims), block))
-    rows = np.empty((width, dims[0] * width))
+        at = None
+        bi, bj = np.nonzero(block)
+        if 2 * bi.size <= block.size:
+            block, at = block[bi, bj], bi * span + bj
+        inner.append((term.factor(0, dims), block, at))
+    rows = np.empty((width, span))
+    flat = rows.reshape(-1)
     best = 0.0
     for r in range(dims[0]):
         rows[:] = 0.0
-        for first, block in inner:
-            for c in np.flatnonzero(first[r]):
-                rows[:, c * width : (c + 1) * width] += first[r, c] * block
+        for first, block, at in inner:
+            cols = np.flatnonzero(first[r])
+            if at is None:
+                for c in cols:
+                    rows[:, c * width : (c + 1) * width] += first[r, c] * block
+            else:
+                where = (at + width * cols[:, None]).reshape(-1)
+                flat[where] += (first[r, cols][:, None] * block).reshape(-1)
         best = max(best, float(np.max(np.abs(rows))))
     return best
 
@@ -402,7 +432,7 @@ MAX_DENSE_GRID = 4096
 
 #: ``eigenvalues`` uses dense eigh up to DENSE_LEVELS_BASE + DENSE_PER_LEVEL
 #: * count grid points (and never above MAX_DENSE_GRID), Lanczos above.
-DENSE_LEVELS_BASE = 768
+DENSE_LEVELS_BASE = 448
 DENSE_PER_LEVEL = 14
 
 
@@ -432,18 +462,25 @@ class WaterSystem:
         """The lowest ``count`` levels in Hartree, ascending.
 
         Small grids, and grids small for the number of levels asked, use
-        dense eigh of h_dvr: n <= min(MAX_DENSE_GRID, 768 + 14 count).
+        dense eigh of h_dvr: n <= min(MAX_DENSE_GRID, 448 + 14 count).
         Larger ones use Lanczos (ARPACK, converged to machine precision) on
         the term operator, from a seeded start vector that is not confined
         to either exchange-symmetry sector.  Dense eigh costs about n^3 and
         nothing per level, Lanczos grows with the level count; on water
-        grids with one BLAS thread (h_dvr + eigh against Lanczos, seconds)
-        the cheaper side switches at about 1 level for n = 768, 12 for
-        1024 (0.17 dense, 0.14 at 8 levels), 30 for 1200, 80 for 1600, 95
-        for 2016 (1.06 dense, 0.22 at 8 levels, 1.15 at 100) and 150 for
-        3136 (3.66 dense, 2.45 at 100 levels, 4.92 at 200).  Dense eigh is
-        also used whenever ARPACK's basis would span the whole grid (n <=
-        2 count + 1, which includes every request for the whole spectrum).
+        grids with one BLAS thread (h_dvr + eigh against Lanczos, medians
+        in seconds) the cheaper side switches at about 4 levels for n =
+        512 (0.033 dense, 0.040 at 8 levels), 14 for 640, 22 for 768
+        (0.067 dense, 0.037 at 8 levels), 55 for 1024, 70 for 1200, 100
+        for 1600, 120 for 2016 (1.00 dense, 0.11 at 8 levels, 0.74 at 100)
+        and 150 for 3136 (3.44 dense, 0.17 at 8 levels, 2.89 at 140, 3.77
+        at 160).  The rule is a line fitted to the low end, 512-768 points.
+        The measured switch is not a line: between about 1000 and 2016
+        points the rule picks dense eigh some levels early (from 42 levels
+        at 1024 against 55, from 112 at 2016 against 120), and at 3136
+        points it keeps Lanczos for 150-191 levels, where dense eigh is
+        already cheaper.  Dense eigh is also used whenever ARPACK's basis
+        would span the whole grid (n <= 2 count + 1, which includes every
+        request for the whole spectrum).
         Fewer than ``count`` levels come back when the grid has fewer
         points.
         """
@@ -477,6 +514,15 @@ def _lowest_levels(matvec: Callable, n: int, count: int) -> np.ndarray:
     of the operator on the complement of the vectors found, so the lowest
     level there is computed as well; while it lies below the highest level
     found it takes that level's place, and the check repeats.
+
+    The complement solve runs to machine precision (tol=0) like the first
+    one.  A looser solve is not a cheaper way to the same decision: its
+    residual bounds the distance from its value to *some* eigenvalue, not to
+    the lowest one, so it can settle on a higher level and accept.  In the
+    decoupled 8x8x8 water toy at count 7 the top level found is 0.0361633
+    Ha; tol=1e-3 returns 0.0394158 (residual 3.8e-6) and tol=1e-6 the same
+    level, both above it, while tol=0 finds the missed degenerate copy at
+    0.0355884, so a loose check would report level 7 wrong by 5.75e-4 Ha.
     """
     # imported here so that the table commands do not pay for ARPACK at start-up
     from scipy.sparse.linalg import LinearOperator, eigsh

@@ -254,6 +254,17 @@ class TestDsparseFused:
         sub = result.zeta * result.sub_block()
         assert np.max(np.abs(sub - np.diag(d))) < 1e-12
 
+    @pytest.mark.parametrize("n", [1, 2, 16, 256])
+    def test_fused_diagonal_sparse_checks_match_dense_rotation(self, n):
+        d = np.random.default_rng(n).uniform(-1, 1, size=n)
+        result = dsparse_fused_diagonal(d)
+        amp = d / np.max(np.abs(d))
+        rest = np.sqrt(1.0 - amp * amp)
+        dense = np.block([[np.diag(amp), np.diag(-rest)], [np.diag(rest), np.diag(amp)]])
+        assert np.array_equal(result.unitary, dense)
+        assert result.residual == float(np.max(np.abs(result.zeta * np.diag(amp) - np.diag(d))))
+        assert abs(result.unitarity_deviation - dense_gram_deviation(dense)) <= 1e-15
+
 
 class TestBlockDiagonalOracle:
     def test_matches_generic_enumeration(self):
@@ -371,14 +382,19 @@ class TestProduct:
             )
 
 
-def dense_swap_reduction(h_eff, swap_pairs):
-    """Had . CSWAP . (1 (x) U_eff) . CSWAP . Had and H_eff + S H_eff S as dense products."""
-    sys_qubits = h_eff.system_qubits
-    n = 1 << sys_qubits
+def _swap_permutation(n, swap_pairs):
     perm = np.arange(n)
     for qa, qb in swap_pairs:
         differ = ((perm >> qa) & 1) != ((perm >> qb) & 1)
         perm = np.where(differ, perm ^ ((1 << qa) | (1 << qb)), perm)
+    return perm
+
+
+def dense_swap_reduction(h_eff, swap_pairs):
+    """Had . CSWAP . (1 (x) U_eff) . CSWAP . Had and H_eff + S H_eff S as dense products."""
+    sys_qubits = h_eff.system_qubits
+    n = 1 << sys_qubits
+    perm = _swap_permutation(n, swap_pairs)
     swap_sys = np.zeros((n, n))
     swap_sys[perm, np.arange(n)] = 1.0
     dim_inner = 1 << (h_eff.ancilla_qubits + sys_qubits)
@@ -390,6 +406,21 @@ def dense_swap_reduction(h_eff, swap_pairs):
     unitary = had @ cswap @ lifted @ cswap @ had
     op = np.asarray(h_eff.operator)
     return unitary, op + swap_sys @ op @ swap_sys
+
+
+def block_swap_unitary(h_eff, swap_pairs):
+    """[[S, D], [D, S]] from U_eff and its swapped copy, indexed on dense arrays."""
+    n = 1 << h_eff.system_qubits
+    perm = _swap_permutation(n, swap_pairs)
+    inner = (np.arange(1 << h_eff.ancilla_qubits)[:, None] * n + perm).reshape(-1)
+    u_eff = np.asarray(h_eff.unitary)
+    swapped = u_eff[inner][:, inner]
+    same, differ = (u_eff + swapped) / 2, (u_eff - swapped) / 2
+    return np.block([[same, differ], [differ, same]])
+
+
+def dense_gram_deviation(u):
+    return float(np.max(np.abs(u.T @ u - np.eye(u.shape[0]))))
 
 
 def _swap_cases():
@@ -417,6 +448,11 @@ class TestSymmetrySwap:
         assert np.max(np.abs(result.unitary - unitary)) <= 4 * 2.0**-52
         assert np.array_equal(result.operator, operator)
         assert result.ancilla_qubits == 1 + h_eff.ancilla_qubits
+        block = block_swap_unitary(h_eff, pairs)
+        assert np.array_equal(result.unitary, block)
+        n = 1 << h_eff.system_qubits
+        assert result.residual == float(np.max(np.abs(result.zeta * block[:n, :n] - operator)))
+        assert abs(result.unitarity_deviation - dense_gram_deviation(block)) <= 1e-15
 
     @pytest.mark.parametrize(
         "pairs", [[(0, 1), (1, 2)], [(0, 1), (2, 1)], [(0, 0)], [(0, 2), (0, 2)], [(0, 4)]]

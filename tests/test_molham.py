@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -227,16 +228,18 @@ class TestMatrixFree:
     @pytest.mark.parametrize(
         "n_r, n_theta, count, path",
         [
-            (8, 12, 8, "dense"),
-            (8, 16, 8, "lanczos"),
-            (8, 16, 32, "dense"),
-            (8, 16, 1, "lanczos"),
+            (8, 8, 8, "dense"),
+            (8, 12, 8, "lanczos"),
+            (8, 12, 23, "dense"),
+            (8, 16, 41, "lanczos"),
+            (8, 16, 42, "dense"),
             (12, 14, 8, "lanczos"),
         ],
     )
     def test_dense_lanczos_crossover(self, monkeypatch, n_r, n_theta, count, path):
-        # 8x8x12 = 768 points is dense at any count; 8x8x16 = 1024 points
-        # is dense from 18 levels up (768 + 14 * 18 >= 1024)
+        # 8x8x8 = 512 points is dense from 5 levels up (448 + 14 * 5 >= 512),
+        # 8x8x12 = 768 points from 23 (448 + 14 * 23 >= 768) and 8x8x16 =
+        # 1024 points from 42 (448 + 14 * 42 >= 1024)
         system = water_hamiltonian(water_spec(n_r=n_r, n_theta=n_theta))
         dense = eigh(system.h_dvr(), eigvals_only=True)[:count]
         lanczos = molham._lowest_levels
@@ -270,7 +273,9 @@ class TestMatrixFree:
         with pytest.raises(RangeError):
             small_system.eigenvalues(0)
 
-    @pytest.mark.parametrize("spec, decoupled", MATRIX_FREE_SYSTEMS)
+    @pytest.mark.parametrize(
+        "spec, decoupled", MATRIX_FREE_SYSTEMS + [(water_spec(n_r=12, n_theta=14), False)]
+    )
     def test_row_block_norm_equals_dense(self, spec, decoupled):
         system = water_hamiltonian(spec, decoupled=decoupled)
         for terms in (system.terms, system.terms_eff):
@@ -278,7 +283,13 @@ class TestMatrixFree:
             assert sop_max_abs(terms, system.dims) == dense
 
     @pytest.mark.parametrize(
-        "spec, decoupled", MATRIX_FREE_SYSTEMS + [(water_spec(n_r=12, n_theta=14), False)]
+        "spec, decoupled",
+        MATRIX_FREE_SYSTEMS
+        + [
+            (water_spec(n_r=12, n_theta=14), False),
+            # unequal stretches: mode 1 is moved to the front past a mode of another size
+            (replace(water_spec(), basis_sizes=(8, 16, 8)), False),
+        ],
     )
     def test_matvec_is_bit_identical_to_contraction(self, spec, decoupled):
         system = water_hamiltonian(spec, decoupled=decoupled)
@@ -287,6 +298,8 @@ class TestMatrixFree:
         want = _tensordot_matvec(system.terms, system.dims, vec)
         assert matvec(vec).tobytes() == want.tobytes()
         assert np.allclose(want, system.h_dvr() @ vec, rtol=0, atol=1e-12)
+        want_eff = _tensordot_matvec(system.terms_eff, system.dims, vec)
+        assert sop_operator(system.terms_eff, system.dims)(vec).tobytes() == want_eff.tobytes()
 
 
 class TestNormEstimates:
