@@ -438,7 +438,7 @@ def exact_table_qrom(values: Sequence[int], eta: int, d: int) -> QromCircuit:
         input_width=eta,
         payload_width=b,
         ancilla_count=circuit.ancilla_count,
-        gates=circuit.gates + (offset,),
+        gates=np.vstack([circuit.table, offset.row]),
     )
 
 

@@ -16,6 +16,10 @@ simulated by plain integer arithmetic: :func:`simulate` gate by gate at one
 address, :func:`simulate_table` at every address by reading the whole
 circuit as one sparse Walsh sum and evaluating it with a single butterfly.
 
+A circuit is one read-only int64 table, a row per gate (see the IR notes),
+and every gate-level step is numpy over its columns; so every gate field and
+register width must fit int64, which is checked before any column is built.
+
 Cost model (per constant adder of k on b bits, lsb = index of k's lowest
 set bit; T count = 4 * workspace ancillas):
 
@@ -31,8 +35,8 @@ the payload register, so no two of them can share a Toffoli layer.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,203 +70,130 @@ class Ordering(enum.Enum):
 
 
 # ---------------------------------------------------------------------------
-# Gate IR.  Qubit layout: [0, eta) input register, [eta, eta+b) payload,
-# [eta+b, eta+b+ancilla_count) ancillas.  Indices in Cnot/X/CAdder are
-# global; Pfx/Adder act on the payload implicitly, and they are the only
-# gates that write it.  Cnot/X write only ancillas, and no control is a
-# payload qubit.  Scalar simulation state is regs = [input, payload,
-# ancillas], and _locate maps a control qubit into it.
+# Gate IR.  A circuit is an (n, 4) int64 table, one row per gate: its opcode
+# and then its wire fields in order, zero-padded:
+#   PFX mask width     ADD k width     CADD k width control
+#   CNOT control target                X target
+# Qubit layout: [0, eta) input register, [eta, eta+b) payload,
+# [eta+b, eta+b+ancilla_count) ancillas.  Indices in CNOT/X/CADD are global;
+# PFX/ADD act on the payload implicitly, and they are the only gates that
+# write it.  CNOT/X write only ancillas, and no control is a payload qubit.
 #
-# Each gate kind defines everything about itself in one class:
-#   op, text(), parse(fields)   its wire token, line and field parser
-#   resources()                 (t, cnots, other_cliffords, workspace) for
-#                               cost()
-#   step(regs, eta, b)          scalar step on ints, for simulate()
-#   fault(eta, b, total)        the circuit rule it breaks, or None
-# simulate_table() reads the gates by kind, in one loop of its own.
+# The gate classes are row records: they build circuits gate by gate and
+# read a circuit back by index.  _check_row holds what a gate can break alone
+# (a field outside int64, a zero PFX mask, an adder constant past its width),
+# for records and parsed lines alike; QromCircuit checks the rules between a
+# gate and the circuit over the whole table at once.
 # ---------------------------------------------------------------------------
 
-
-def _locate(q: int, eta: int, b: int) -> tuple[int, int]:
-    """(register, bit) of control qubit q in regs = [input, payload, ancillas]."""
-    return (0, q) if q < eta else (2, q - eta - b)
-
-
-def _width_fault(width: int, b: int) -> str | None:
-    if width != b:
-        return f"width {width} differs from the payload width {b}"
-    return None
+PFX, ADD, CADD, CNOT, X = range(5)
+_OPS = ("PFX", "ADD", "CADD", "CNOT", "X")
+_OPCODES = {name: op for op, name in enumerate(_OPS)}
+_BASES = ((16, 10), (10, 10), (10, 10, 10), (10, 10), (10,))  # of each wire field
+_FORMATS = ("PFX {:#x} {}", "ADD {} {}", "CADD {} {} {}", "CNOT {} {}", "X {}")
 
 
-def _qubit_fault(q: int, first: int, total: int) -> str | None:
-    if not first <= q < total:
-        return f"qubit {q} outside [{first}, {total})"
-    return None
+def _check_row(row: tuple) -> tuple:
+    """The row, once it is checked for the faults a gate has on its own."""
+    op, value, width, _ = row
+    if min(row) < -(1 << 63) or max(row) >= 1 << 63:
+        raise RangeError(f"{_OPS[op]} field {max(row, key=abs)} does not fit int64")
+    if op == PFX and not value:
+        raise RangeError("PFX mask must be nonzero (z = 0 folds into an adder)")
+    if (op == ADD or op == CADD) and width < 64 and not -(1 << width) < value < 1 << width:
+        raise RangeError(f"|k| = {abs(value)} must be < 2**{width}")
+    return row
 
 
-def _control_fault(q: int, eta: int, b: int, total: int) -> str | None:
-    if eta <= q < eta + b:
-        return "control is a payload qubit"
-    return _qubit_fault(q, 0, total)
+def _parse_row(op: int, fields: Sequence[str]) -> tuple:
+    """The checked row of one gate from its wire fields."""
+    if len(fields) != len(_BASES[op]):
+        raise ValueError(f"{_OPS[op]} takes {len(_BASES[op])} fields")
+    return _check_row((op, *map(int, fields, _BASES[op]), 0, 0)[:4])
 
 
-def _lsb(k: int) -> int:
-    return (abs(k) & -abs(k)).bit_length() - 1 if k else 0
+def _record(row: Sequence[int]) -> "_Gate":
+    return _KINDS[row[0]](*row[1 : 1 + len(_BASES[row[0]])])
 
 
-def _check_constant(k: int, width: int) -> None:
-    if not (-(1 << width) < k < (1 << width)):
-        raise RangeError(f"|k| = {abs(k)} must be < 2**{width}")
-
-
-def _adder_workspace(k: int, b: int, controls: int) -> int:
-    """Carry ancillas of a constant adder of k mod 2**b; its T count is 4x this."""
-    return max(0, b - 2 + controls - _lsb(k)) if k else 0
+def _format(row: Sequence[int]) -> str:
+    return _FORMATS[row[0]].format(*row[1:])
 
 
 class _Gate:
-    @classmethod
-    def parse(cls, fields: Sequence[str]) -> "_Gate":
-        """Build the gate from its wire fields, all decimal integers."""
-        if len(fields) != len(cls.__dataclass_fields__):
-            raise ValueError(f"{cls.op} takes {len(cls.__dataclass_fields__)} fields")
-        return cls(*map(int, fields))
+    def __post_init__(self):
+        _check_row(self.row)
+
+    @property
+    def row(self) -> tuple:
+        return (self.op, *(getattr(self, name) for name in self.__dataclass_fields__), 0, 0)[:4]
 
 
 @dataclass(frozen=True)
 class Pfx(_Gate):
     """Parity-controlled fanout-X: flips all b payload bits when <x,z> = 1."""
 
-    op = "PFX"
+    op = PFX
     mask: int
     width: int
-
-    def __post_init__(self):
-        if self.mask == 0:
-            raise RangeError("PFX mask must be nonzero (z = 0 folds into an adder)")
-
-    @property
-    def cnots(self) -> int:
-        return 2 * (self.mask.bit_count() - 1) + self.width
-
-    def resources(self):
-        return 0, self.cnots, 0, 0
-
-    def step(self, regs, eta, b):
-        if (regs[0] & self.mask).bit_count() & 1:
-            regs[1] ^= (1 << b) - 1
-
-    def fault(self, eta, b, total):
-        if self.mask >> eta:
-            return f"mask must be < 2**{eta}"
-        return _width_fault(self.width, b)
-
-    def text(self) -> str:
-        return f"{self.op} {self.mask:#x} {self.width}"
-
-    @classmethod
-    def parse(cls, fields: Sequence[str]) -> "Pfx":
-        mask, width = fields
-        return cls(int(mask, 16), int(width))
 
 
 @dataclass(frozen=True)
 class Adder(_Gate):
     """y -> y + k mod 2**width on the payload register."""
 
-    op = "ADD"
+    op = ADD
     k: int
     width: int
-
-    def __post_init__(self):
-        _check_constant(self.k, self.width)
-
-    def resources(self):
-        workspace = _adder_workspace(self.k, self.width, 0)
-        return 4 * workspace, 0, 0, workspace
-
-    def step(self, regs, eta, b):
-        regs[1] = (regs[1] + self.k) & ((1 << b) - 1)
-
-    def fault(self, eta, b, total):
-        return _width_fault(self.width, b)
-
-    def text(self) -> str:
-        return f"{self.op} {self.k} {self.width}"
 
 
 @dataclass(frozen=True)
 class CAdder(_Gate):
     """Adder controlled on one global qubit index."""
 
-    op = "CADD"
+    op = CADD
     k: int
     width: int
     control: int
 
-    def __post_init__(self):
-        _check_constant(self.k, self.width)
-
-    def resources(self):
-        workspace = _adder_workspace(self.k, self.width, 1)
-        return 4 * workspace, 0, 0, workspace
-
-    def step(self, regs, eta, b):
-        reg, bit = _locate(self.control, eta, b)
-        if regs[reg] >> bit & 1:
-            regs[1] = (regs[1] + self.k) & ((1 << b) - 1)
-
-    def fault(self, eta, b, total):
-        return _control_fault(self.control, eta, b, total) or _width_fault(self.width, b)
-
-    def text(self) -> str:
-        return f"{self.op} {self.k} {self.width} {self.control}"
-
 
 @dataclass(frozen=True)
 class Cnot(_Gate):
-    op = "CNOT"
+    op = CNOT
     control: int
     target: int
-
-    def resources(self):
-        return 0, 1, 0, 0
-
-    def step(self, regs, eta, b):
-        reg, bit = _locate(self.control, eta, b)
-        if regs[reg] >> bit & 1:
-            regs[2] ^= 1 << (self.target - eta - b)
-
-    def fault(self, eta, b, total):
-        if self.control == self.target:
-            return "control equals target"
-        fault = _control_fault(self.control, eta, b, total)
-        return fault or _qubit_fault(self.target, eta + b, total)
-
-    def text(self) -> str:
-        return f"{self.op} {self.control} {self.target}"
 
 
 @dataclass(frozen=True)
 class XGate(_Gate):
-    op = "X"
+    op = X
     target: int
 
-    def resources(self):
-        return 0, 0, 1, 0
 
-    def step(self, regs, eta, b):
-        regs[2] ^= 1 << (self.target - eta - b)
-
-    def fault(self, eta, b, total):
-        return _qubit_fault(self.target, eta + b, total)
-
-    def text(self) -> str:
-        return f"{self.op} {self.target}"
+_KINDS = (Pfx, Adder, CAdder, Cnot, XGate)
 
 
-Gate = Union[Pfx, Adder, CAdder, Cnot, XGate]
-_GATE_KINDS = {kind.op: kind for kind in (Pfx, Adder, CAdder, Cnot, XGate)}
+class _Gates(Sequence):
+    """A circuit's gates as records, made from its table on demand."""
+
+    def __init__(self, table: np.ndarray):
+        self._table = table
+
+    def __len__(self) -> int:
+        return len(self._table)
+
+    def __getitem__(self, i):
+        rows = self._table[i].tolist()
+        return tuple(map(_record, rows)) if isinstance(i, slice) else _record(rows)
+
+    def __iter__(self):
+        return map(_record, self._table.tolist())
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Sequence) and tuple(self) == tuple(other)
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 class GateError(ShapeError):
@@ -273,86 +204,140 @@ class GateError(ShapeError):
         self.index = index
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QromCircuit:
-    """Immutable, validated gate sequence over input/payload/ancilla registers.
+    """Immutable, validated gate table over input/payload/ancilla registers.
+
+    ``gates`` is given as gate records or an (n, 4) int64 table (see the IR
+    notes) and reads back as records made on demand; ``table`` is read-only.
+    Circuits are equal when their register widths and tables are.
 
     Rules, checked at construction (:class:`GateError` names the first gate
-    that breaks one; negative register widths raise :class:`RangeError`):
-    every gate width equals the payload width b; PFX masks are < 2**eta;
-    every qubit index lies in [0, total_qubits); CNOT and X targets are
-    ancilla qubits, in [eta + b, total_qubits), so only PFX and the adders
-    write the payload and the input register is read-only; no CNOT or CADD
-    control is a payload qubit; a CNOT's control differs from its target;
-    no two PFX gates are adjacent (they compose by XOR of masks and are
-    merged at synthesis).
+    that breaks one; a register width that is negative or does not fit int64
+    raises :class:`RangeError`): every gate width equals the payload
+    width b; PFX masks are < 2**eta; every qubit index lies in [0,
+    total_qubits); CNOT and X targets are ancilla qubits, in [eta + b,
+    total_qubits), so only PFX and the adders write the payload and the
+    input register is read-only; no CNOT or CADD control is a payload qubit;
+    a CNOT's control differs from its target; no two PFX gates are adjacent
+    (they compose by XOR of masks and are merged at synthesis).
     """
 
     input_width: int
     payload_width: int
     ancilla_count: int = 0
-    gates: tuple = ()
+    gates: Sequence = ()
+    table: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "gates", tuple(self.gates))
-        eta, b = self.input_width, self.payload_width
-        if min(eta, b, self.ancilla_count) < 0:
-            raise RangeError(
-                f"register widths must be nonnegative, got ({eta}, {b}, {self.ancilla_count})"
-            )
-        total = self.total_qubits
-        previous = None
-        for i, gate in enumerate(self.gates):
-            fault = gate.fault(eta, b, total)
-            if fault is None and isinstance(gate, Pfx) and isinstance(previous, Pfx):
-                fault = "adjacent PFX gates must be merged by mask XOR"
-            if fault:
-                raise GateError(i, f"{gate.text()}: {fault}")
-            previous = gate
+        widths = eta, b, anc = self.input_width, self.payload_width, self.ancilla_count
+        if min(widths) < 0:
+            raise RangeError(f"register widths must be nonnegative, got {widths}")
+        if max(widths) >= 1 << 63:
+            raise RangeError(f"register widths must be < 2**63, got {widths}")
+        rows = self.gates if isinstance(self.gates, np.ndarray) else [g.row for g in self.gates]
+        if isinstance(rows, np.ndarray) and rows.dtype != np.int64:
+            raise RangeError(f"a gate table must be int64, got {rows.dtype}")
+        table = np.array(rows, dtype=np.int64).reshape(-1, 4)
+        table.flags.writeable = False
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "gates", _Gates(table))
+        _validate(table, eta, b, self.total_qubits)
 
     @property
     def total_qubits(self) -> int:
         return self.input_width + self.payload_width + self.ancilla_count
 
-
-def _merge_pfx(gates: Iterable[Gate], b: int) -> list:
-    out: list = []
-    for gate in gates:
-        if isinstance(gate, Pfx) and out and isinstance(out[-1], Pfx):
-            merged = out[-1].mask ^ gate.mask
-            out.pop()
-            if merged:
-                out.append(Pfx(merged, b))
-        else:
-            out.append(gate)
-    return out
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, QromCircuit):
+            return NotImplemented
+        widths = (self.input_width, self.payload_width, self.ancilla_count)
+        other_widths = (other.input_width, other.payload_width, other.ancilla_count)
+        return widths == other_widths and np.array_equal(self.table, other.table)
 
 
-def _gray_rank(z: int) -> int:
+def _validate(table: np.ndarray, eta: int, b: int, total: int) -> None:
+    """Raise GateError for the first row that breaks a rule (each kind's in check order)."""
+    op, f1, f2, f3 = table.T
+    pfx, cnot, controlled = op == PFX, op == CNOT, (op == CADD) | (op == CNOT)
+    adder = (op == ADD) | (op == CADD)
+    control, target, first = np.where(op == CADD, f3, f1), np.where(cnot, f2, f1), eta + b
+    adjacent = np.zeros_like(pfx)
+    adjacent[1:] = pfx[1:] & pfx[:-1]
+    rules = (  # the first two are record rules, which only a table given whole can break
+        (pfx & (f1 == 0), "mask must be nonzero"),
+        (adder & (f2 < 64) & (np.abs(f1) >> np.clip(f2, 0, 63) != 0), "|k| must be < 2**{width}"),
+        (pfx & (f1 >> min(eta, 63) != 0), "mask must be < 2**{eta}"),
+        (cnot & (f1 == f2), "control equals target"),
+        (controlled & (control >= eta) & (control < first), "control is a payload qubit"),
+        (controlled & ((control < 0) | (control >= total)), "qubit {control} outside [0, {total})"),
+        ((op <= CADD) & (f2 != b), "width {width} differs from the payload width {b}"),
+        ((op >= CNOT) & ((target < first) | (target >= total)),
+         "qubit {target} outside [{first}, {total})"),
+        (adjacent, "adjacent PFX gates must be merged by mask XOR"),
+    )
+    bad = np.logical_or.reduce([broken for broken, _ in rules])
+    if bad.any():
+        i = int(np.argmax(bad))
+        fault = next(message for broken, message in rules if broken[i]).format(
+            eta=eta, b=b, first=first, total=total, control=control[i], width=f2[i],
+            target=target[i],
+        )
+        raise GateError(i, f"{_format(table[i].tolist())}: {fault}")
+
+
+def _exact_sum(values: np.ndarray) -> int:
+    """Exact sum of nonnegative int64 entries (fewer than 2**31), by 32-bit halves."""
+    return (int(np.sum(values >> 32)) << 32) + int(np.sum(values & 0xFFFFFFFF))
+
+
+def _lsb(k: np.ndarray) -> np.ndarray:
+    """Index of the lowest set bit of each nonzero k, the same as of |k|."""
+    return np.bitwise_count((k & -k) - 1).astype(np.int64)
+
+
+def _centered(k: np.ndarray, b: int) -> np.ndarray:
+    """Reduce k mod 2**b into [-2**(b-1), 2**(b-1)), for b <= 63.
+
+    Exact even where k + 2**(b-1) wraps int64: 2**64 is a multiple of 2**b.
+    """
+    half = 1 << (b - 1)
+    return ((k + half) & ((1 << b) - 1)) - half
+
+
+def _gray_rank(z: np.ndarray) -> np.ndarray:
     """Index m with m ^ (m >> 1) = z (inverse binary-reflected Gray code)."""
-    m = z
-    shift = 1
-    while (m >> shift) > 0:
+    m = z.copy()
+    for shift in (1, 2, 4, 8, 16, 32):
         m ^= m >> shift
-        shift *= 2
     return m
 
 
-def _chain(items: Sequence[tuple[int, int]], b: int) -> list:
-    """PFX/ADD chain adding c (-1)^<x,z> per (z, c) item, in the given order.
+def _support(spec: TruncatedSpectrum) -> tuple[np.ndarray, np.ndarray]:
+    """Retained masks and centered coefficients, in truncation order, zeros mod 2**b dropped."""
+    z = spec.order[: spec.k]
+    c = _centered(spec.base.coeffs[z], spec.base.b)
+    return z[c != 0], c[c != 0]
+
+
+def _chain(z: np.ndarray, c: np.ndarray, b: int) -> np.ndarray:
+    """PFX/ADD rows adding c (-1)^<x,z> per (z, c), in the given order.
 
     Consecutive sandwiches share one PFX of the XOR of their masks.
     """
-    gates: list = []
-    prev = 0
-    for z, c in items:
-        if prev ^ z:
-            gates.append(Pfx(prev ^ z, b))
-        gates.append(Adder(c, b))
-        prev = z
-    if prev:
-        gates.append(Pfx(prev, b))
-    return gates
+    table = np.zeros((2 * len(z) + 1, 4), dtype=np.int64)
+    table[1::2, 0] = ADD
+    table[1::2, 1] = c
+    padded = np.zeros(len(z) + 2, dtype=np.int64)
+    padded[1:-1] = z
+    table[0::2, 1] = padded[1:] ^ padded[:-1]
+    table[:, 2] = b
+    return table[(table[:, 0] != PFX) | (table[:, 1] != 0)]
+
+
+def _pfx_cnots(table: np.ndarray) -> int:
+    mask, width = table[table[:, 0] == PFX, 1:3].T
+    return 2 * (int(np.sum(np.bitwise_count(mask))) - len(mask)) + _exact_sum(width)
 
 
 def synthesize(
@@ -368,27 +353,15 @@ def synthesize(
     for sparse supports), the magnitude order is kept so optimization never
     increases the CNOT count.  An empty support yields the identity circuit.
     """
-    eta = spec.eta
     b = spec.base.b
-    items = [(z, _centered(c, b)) for z, c in spec.support_coeffs() if c % (1 << b)]
-    gates = _chain(items, b)
+    z, c = _support(spec)
+    table = _chain(z, c, b)
     if ordering is Ordering.GRAY_CODE:
-        gray = _chain(sorted(items, key=lambda zc: _gray_rank(zc[0])), b)
-        if _pfx_cnots(gray) <= _pfx_cnots(gates):
-            gates = gray
-    return QromCircuit(input_width=eta, payload_width=b, gates=tuple(gates))
-
-
-def _pfx_cnots(gates: Sequence[Gate]) -> int:
-    return sum(g.cnots for g in gates if isinstance(g, Pfx))
-
-
-def _centered(k: int, b: int) -> int:
-    """Reduce k mod 2**b into [-2**(b-1), 2**(b-1))."""
-    k %= 1 << b
-    if k >= 1 << (b - 1):
-        k -= 1 << b
-    return k
+        rank = np.argsort(_gray_rank(z))
+        gray = _chain(z[rank], c[rank], b)
+        if _pfx_cnots(gray) <= _pfx_cnots(table):
+            table = gray
+    return QromCircuit(input_width=spec.eta, payload_width=b, gates=table)
 
 
 @dataclass(frozen=True)
@@ -412,16 +385,7 @@ class CostReport:
     quantum_volume: int
 
     def __post_init__(self):
-        for name in (
-            "t_count",
-            "toffoli_count",
-            "cnot_count",
-            "clifford_count",
-            "qubit_count",
-            "t_depth",
-            "quantum_volume",
-        ):
-            value = getattr(self, name)
+        for name, value in vars(self).items():
             if value < 0:
                 raise RangeError(f"{name} must be nonnegative, got {value}")
         if self.quantum_volume != self.t_count * self.qubit_count:
@@ -461,14 +425,15 @@ def cost(circuit: QromCircuit) -> CostReport:
     gives exactly t // 4.  The qubit count is eta + b + allocated ancillas
     + the widest transient adder workspace.
     """
-    t = cnot = clifford = max_workspace = 0
-    for gate in circuit.gates:
-        gt, gcnot, gcliff, workspace = gate.resources()
-        t += gt
-        cnot += gcnot
-        clifford += gcliff + gcnot
-        max_workspace = max(max_workspace, workspace)
-    qubits = circuit.total_qubits + max_workspace
+    table = circuit.table
+    op = table[:, 0]
+    adders = table[(op == ADD) | (op == CADD)]
+    k, width, controls = adders[:, 1], adders[:, 2], adders[:, 0] == CADD
+    workspace = np.where(k != 0, np.maximum(width - 2 + controls - _lsb(k), 0), 0)
+    t = 4 * _exact_sum(workspace)
+    cnot = _pfx_cnots(table) + int(np.count_nonzero(op == CNOT))
+    clifford = cnot + int(np.count_nonzero(op == X))
+    qubits = circuit.total_qubits + int(workspace.max(initial=0))
     return CostReport.assemble(t, cnot, clifford, qubits, t // 4)
 
 
@@ -477,41 +442,29 @@ def cost(circuit: QromCircuit) -> CostReport:
 # ---------------------------------------------------------------------------
 
 
-def _emit_pair_block(
-    z_sign: int,
-    c_sign: int,
-    z_other: int,
-    c_other: int,
-    b: int,
-    anc: int,
-    eta: int,
-) -> list:
-    """Fused block adding (-1)^<x,z_sign> c_sign + (-1)^<x,z_other> c_other.
+def _pair_heads(keys: np.ndarray) -> np.ndarray:
+    """Heads i of the pairs (i, i + 1) formed front to back in runs of equal sorted keys."""
+    same = keys[1:] == keys[:-1]
+    run_start = np.flatnonzero(np.concatenate(([True], ~same)))
+    rank = np.arange(len(keys)) - np.repeat(run_start, np.diff(run_start, append=len(keys)))
+    return np.flatnonzero((rank[:-1] % 2 == 0) & same)
 
-    Computes the parity p = <x, z_sign ^ z_other> on the shared ancilla,
-    then adds c_sign + c_other on the p = 0 branch and c_sign - c_other on
-    the p = 1 branch, conjugated by PFX_{z_sign} for the overall sign.
-    """
-    zc = z_sign ^ z_other
-    plus = _centered(c_sign + c_other, b)
-    minus = _centered(c_sign - c_other, b)
-    gates: list = []
-    # parity CNOTs commute with PFX (ancilla vs payload targets), so they
-    # sit inside the sign sandwich and consecutive blocks' PFX gates merge
-    parity_cnots = [Cnot(i, anc) for i in range(eta) if zc >> i & 1]
-    if z_sign:
-        gates.append(Pfx(z_sign, b))
-    gates.extend(parity_cnots)
-    if plus:
-        gates.append(XGate(anc))
-        gates.append(CAdder(plus, b, anc))
-        gates.append(XGate(anc))
-    if minus:
-        gates.append(CAdder(minus, b, anc))
-    gates.extend(reversed(parity_cnots))
-    if z_sign:
-        gates.append(Pfx(z_sign, b))
-    return gates
+
+def _put(rows: np.ndarray, at, *fields) -> None:
+    for column, value in enumerate(fields):
+        rows[at, column] = value
+
+
+def _merge_pfx(rows: np.ndarray) -> np.ndarray:
+    """Merge each run of adjacent PFX rows into one PFX of their masks' XOR, or none."""
+    pfx = np.flatnonzero(rows[:, 0] == PFX)
+    head = np.diff(pfx, prepend=-2) != 1
+    merged = np.bitwise_xor.reduceat(rows[pfx, 1], np.flatnonzero(head))
+    rows[pfx[head], 1] = merged
+    keep = np.ones(len(rows), dtype=bool)
+    keep[pfx] = False
+    keep[pfx[head][merged != 0]] = True
+    return rows[keep]
 
 
 def pair_cancel(circuit: QromCircuit, spec: TruncatedSpectrum) -> QromCircuit:
@@ -523,49 +476,60 @@ def pair_cancel(circuit: QromCircuit, spec: TruncatedSpectrum) -> QromCircuit:
     bit still save >= 4 T gates through the sum/difference constants.  The
     result is simulate()-identical to the input; if no pairing lowers both
     the T and CNOT counts the input circuit is returned unchanged.
+
+    Pairs form front to back among equal magnitudes (by magnitude, in
+    truncation order), then among equal lsbs (by lsb, by mask).  Each pair's
+    block computes p = <x, zs ^ zo> on the ancilla, adds cs + co if p = 0 and
+    cs - co if p = 1, inside PFX_zs for the sign (zs the lighter mask, ties
+    by value); blocks follow the unpaired chain in Gray rank of zs.
     """
-    eta = spec.eta
-    b = spec.base.b
-    items = [(z, _centered(c, b)) for z, c in spec.support_coeffs() if c % (1 << b)]
-    if len(items) < 2:
+    eta, b = spec.eta, spec.base.b
+    z, c = _support(spec)
+    if len(z) < 2:
         return circuit
-
-    remaining = dict(items)
-    pairs: list[tuple[int, int]] = []
-    by_mag: dict = {}
-    for z, c in items:
-        by_mag.setdefault(abs(c), []).append(z)
-    for _, masks in sorted(by_mag.items()):
-        while len(masks) >= 2:
-            pairs.append((masks.pop(0), masks.pop(0)))
-    for z1, z2 in pairs:
-        remaining.pop(z1), remaining.pop(z2)
-    by_lsb: dict = {}
-    for z, c in remaining.items():
-        by_lsb.setdefault(_lsb(c), []).append(z)
-    for _, masks in sorted(by_lsb.items()):
-        masks.sort()
-        while len(masks) >= 2:
-            z1, z2 = masks.pop(0), masks.pop(0)
-            pairs.append((z1, z2))
-            remaining.pop(z1), remaining.pop(z2)
-    if not pairs:
+    by_mag = np.argsort(np.abs(c), kind="stable")
+    heads = _pair_heads(np.abs(c)[by_mag])
+    first, second = by_mag[heads], by_mag[heads + 1]
+    rest = np.setdiff1d(np.arange(len(z)), np.concatenate((first, second)))
+    lsb = _lsb(c[rest])
+    by_lsb = np.lexsort((z[rest], lsb))
+    heads = _pair_heads(lsb[by_lsb])
+    by_lsb = rest[by_lsb]
+    first = np.concatenate((first, by_lsb[heads]))
+    second = np.concatenate((second, by_lsb[heads + 1]))
+    if not len(first):
         return circuit
-
-    coeff = dict(items)
-    anc_index = eta + b
-    gates = _chain([(z, c) for z, c in items if z in remaining], b)
-    # the lighter mask of each pair carries the sign (ties by value)
-    oriented = [tuple(sorted(pair, key=lambda z: (z.bit_count(), z))) for pair in pairs]
-    oriented.sort(key=lambda zz: _gray_rank(zz[0]))
-    for zs, zo in oriented:
-        gates.extend(_emit_pair_block(zs, coeff[zs], zo, coeff[zo], b, anc_index, eta))
-    candidate = QromCircuit(
-        input_width=eta,
-        payload_width=b,
-        ancilla_count=1,
-        gates=tuple(_merge_pfx(gates, b)),
-    )
+    unpaired = np.setdiff1d(rest, np.concatenate((first, second)))
+    chain = _chain(z[unpaired], c[unpaired], b)
+    w1, w2 = np.bitwise_count(z[first]), np.bitwise_count(z[second])
+    swap = (w1 > w2) | ((w1 == w2) & (z[first] > z[second]))
+    sign, other = np.where(swap, second, first), np.where(swap, first, second)
+    by_rank = np.argsort(_gray_rank(z[sign]))
+    sign, other = sign[by_rank], other[by_rank]
+    zs, cs, co = z[sign], c[sign], c[other]
+    plus, minus = _centered(cs + co, b), _centered(cs - co, b)
+    parity = np.bitwise_count(zs ^ z[other]).astype(np.int64)
+    on_plus, on_minus = plus != 0, minus != 0
+    size = 2 + 2 * parity + 3 * on_plus + on_minus
+    start = len(chain) + np.cumsum(size) - size
+    rows = np.zeros((len(chain) + int(size.sum()), 4), dtype=np.int64)
+    rows[: len(chain)] = chain
+    anc = eta + b
+    # PFX_zs, parity CNOTs, [X, CADD plus, X], [CADD minus], CNOTs reversed,
+    # PFX_zs; a zero zs leaves zero-mask PFX rows, which the merge drops
+    _put(rows, start, PFX, zs, b)
+    _put(rows, start + size - 1, PFX, zs, b)
+    middle = start + 1 + parity
+    block, bit = np.nonzero((zs ^ z[other])[:, None] >> np.arange(eta) & 1)
+    t = np.arange(len(block)) - (np.cumsum(parity) - parity)[block]
+    _put(rows, start[block] + 1 + t, CNOT, bit, anc)
+    tail = middle + 3 * on_plus + on_minus
+    _put(rows, tail[block] + parity[block] - 1 - t, CNOT, bit, anc)
+    _put(rows, middle[on_plus], X, anc)
+    _put(rows, middle[on_plus] + 1, CADD, plus[on_plus], b, anc)
+    _put(rows, middle[on_plus] + 2, X, anc)
+    _put(rows, (middle + 3 * on_plus)[on_minus], CADD, minus[on_minus], b, anc)
+    candidate = QromCircuit(eta, b, ancilla_count=1, gates=_merge_pfx(rows))
     before, after = cost(circuit), cost(candidate)
     if after.t_count > before.t_count or after.cnot_count > before.cnot_count:
         return circuit
@@ -594,12 +558,23 @@ def simulate(circuit: QromCircuit, x: int, y: int) -> int:
         raise RangeError(f"x = {x} outside [0, 2**{eta})")
     if not 0 <= y < (1 << b):
         raise RangeError(f"y = {y} outside [0, 2**{b})")
-    regs = [x, y, 0]
-    for gate in circuit.gates:
-        gate.step(regs, eta, b)
-    if regs[2]:
+    ones, ancillas = (1 << b) - 1, 0
+
+    def bit(q: int) -> int:
+        return x >> q & 1 if q < eta else ancillas >> (q - eta - b) & 1
+
+    for op, f1, f2, f3 in circuit.table.tolist():
+        if op == PFX:
+            y ^= ones * ((x & f1).bit_count() & 1)
+        elif op == ADD or op == CADD and bit(f3):
+            y = (y + f1) & ones
+        elif op == CNOT and bit(f1):
+            ancillas ^= 1 << (f2 - eta - b)
+        elif op == X:
+            ancillas ^= 1 << (f1 - eta - b)
+    if ancillas:
         raise ToleranceError("ancillas not restored to |0> at circuit end")
-    return regs[1]
+    return y
 
 
 def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
@@ -609,72 +584,81 @@ def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
     bit-identical to calling :func:`simulate` point by point, and raising
     the same errors.
 
-    The gates are read once, on plain integers, never over the 2**eta
-    addresses.  PFX z flips every payload bit when <x, z> = 1, i.e. maps
-    y -> N(y) = -1 - y mod 2**b, and N(y + k) = N(y) - k; so the payload
-    stays y = N^<x, s>(y0 + T(x)), where the sign mask s is the XOR of the
-    PFX masks read so far and each adder adds +-k to T by the sign
-    (-1)^<x, s>.  Ancillas are written only by X and by CNOTs from input or
-    ancilla qubits (a :class:`QromCircuit` rule), so each holds a
-    GF(2)-affine function <x, m> XOR c of the input, kept as the Python-int
-    pair (m, c) for the ancillas written so far, whatever their count, and
-    2 [<x, m> XOR c] = 1 - (-1)^c (-1)^<x, m> turns a controlled adder into
-    two Walsh terms.  So 2T is a sparse Walsh sum, doubled to keep it
-    integral, evaluated at every x by one butterfly in int64: that is
-    2T mod 2**64 (the wraparound is exact ring arithmetic), and a shift
-    right by one leaves T mod 2**63 in the low 63 bits, enough for b <= 63.
-    An ancilla left as any affine function other than 0 is nonzero at some
-    x, which raises :class:`ToleranceError` as :func:`simulate` does.  Cost
-    O(gates + eta 2**eta).
+    The table is folded into one Walsh spectrum, never stepped over the
+    2**eta addresses.  PFX z maps y -> N(y) = -1 - y mod 2**b when <x, z> = 1,
+    and N(y + k) = N(y) - k; so the payload is N^<x, s>(y0 + T(x)), where the
+    sign mask s at a gate is the XOR of the PFX masks before it and each
+    adder adds +-k to T by the sign (-1)^<x, s>.  Ancillas are written only
+    by X and by CNOTs from input or ancilla qubits (a :class:`QromCircuit`
+    rule), so each holds a GF(2)-affine function <x, m> XOR c, packed 2m + c:
+    the XOR of what its writes so far carried in, a prefix XOR over the
+    writes sorted by (ancilla, gate).  The few writes that carry another
+    ancilla's function are resolved in gate order first.  2 [<x, m> XOR c] =
+    1 - (-1)^c (-1)^<x, m> makes a controlled adder two Walsh terms, so 2T
+    is a sparse Walsh sum, added up in int64 and evaluated at every x by one
+    butterfly: 2T mod 2**64 (exact ring arithmetic), so a shift right by one
+    leaves T mod 2**63, enough for b <= 63.  An ancilla left as any affine
+    function other than 0 is nonzero at some x: :class:`ToleranceError`, as
+    in :func:`simulate`.  Cost O(gates log gates + eta 2**eta).
 
     Limits, checked before any array is allocated (:class:`ScaleError`):
     b <= 63, so payloads fit int64, and eta <= :data:`MAX_TABLE_ETA`.
     """
     eta, b = circuit.input_width, circuit.payload_width
-    if not 0 <= y0 < (1 << b):
+    if y0 < 0 or y0 >> b:
         raise RangeError(f"y0 = {y0} outside [0, 2**{b})")
     if b > 63:
         raise ScaleError(f"payload width b = {b} exceeds 63, the int64 payload limit")
     if eta > MAX_TABLE_ETA:
         raise ScaleError(f"eta = {eta} exceeds the limit MAX_TABLE_ETA = {MAX_TABLE_ETA}")
-    sign = 0
-    spectrum: dict[int, int] = {}  # mask -> doubled Walsh coefficient of T
-    ancillas: dict[int, tuple[int, int]] = {}  # qubit -> (mask, const); absent is 0
+    op, f1, f2, f3 = circuit.table.T
+    n = len(op)
+    sign = np.bitwise_xor.accumulate(np.where(op == PFX, f1, 0))
+    control = np.where(op == CADD, f3, f1)
+    # packed function of each input control; ancilla controls are filled in below
+    function = np.where(control < eta, 2 << np.clip(control, 0, eta), 0)
+    writes = np.flatnonzero(op >= CNOT)
+    reads = np.flatnonzero(((op == CADD) | (op == CNOT)) & (control >= eta))
+    targets = np.where(op == CNOT, f2, f1)[writes]
+    _, slot = np.unique(np.concatenate((targets, control[reads])), return_inverse=True)
+    write_slot, read_slot = slot[: len(writes)], slot[len(writes) :]
+    order = np.argsort(write_slot, kind="stable")
+    keys = np.append((write_slot * n + writes)[order], -1)
+    starts = np.flatnonzero(np.diff(write_slot[order], prepend=-1))
+    runs = np.diff(starts, append=len(writes))
+    # the last write to each read's ancilla before it, or -1 (reads 0)
+    last = np.searchsorted(keys[:-1], read_slot * n + reads) - 1
+    last[keys[last] // n != read_slot] = -1
+    flips = np.where(op[writes] == X, 1, function[writes])
 
-    def affine(q: int) -> tuple[int, int]:
-        return (1 << q, 0) if q < eta else ancillas.get(q, (0, 0))
+    def fold() -> np.ndarray:
+        """Each ancilla's function after each of its writes, in key order; then 0."""
+        carried = flips[order]
+        after = np.bitwise_xor.accumulate(carried)
+        after ^= np.repeat((after ^ carried)[starts], runs)
+        return np.append(after, 0)
 
-    for gate in circuit.gates:
-        kind = type(gate)
-        if kind is Pfx:
-            sign ^= gate.mask
-        elif kind is Adder:
-            spectrum[sign] = spectrum.get(sign, 0) + 2 * gate.k
-        elif kind is CAdder:
-            mask, const = affine(gate.control)
-            spectrum[sign] = spectrum.get(sign, 0) + gate.k
-            flip = sign ^ mask
-            spectrum[flip] = spectrum.get(flip, 0) + (gate.k if const else -gate.k)
-        else:  # X or CNOT onto an ancilla
-            mask, const = affine(gate.control) if kind is Cnot else (0, 1)
-            old_mask, old_const = affine(gate.target)
-            ancillas[gate.target] = (old_mask ^ mask, old_const ^ const)
-    if any(mask or const for mask, const in ancillas.values()):
+    after = fold()
+    pending = np.flatnonzero(op[reads] == CNOT)
+    resolved: dict = {}  # slot -> XOR of the resolved functions written to it
+    for p, w in zip(pending.tolist(), np.searchsorted(writes, reads[pending]).tolist()):
+        flips[w] = int(after[last[p]]) ^ resolved.get(int(read_slot[p]), 0)
+        target = int(write_slot[w])
+        resolved[target] = resolved.get(target, 0) ^ int(flips[w])
+    after = fold()
+    if np.any(after[starts + runs - 1]):
         raise ToleranceError("ancillas not restored to |0> at circuit end")
-    return _payload(spectrum, sign, y0, eta, b)
+    function[reads] = after[last]
 
-
-def _payload(spectrum: dict, sign: int, y0: int, eta: int, b: int) -> np.ndarray:
-    """N^<x, sign>(y0 + T(x)) mod 2**b at every x, from T's doubled spectrum."""
+    adder, cadd = (op == ADD) | (op == CADD), op == CADD
     doubled = np.zeros(1 << eta, dtype=np.int64)
-    for mask, value in spectrum.items():
-        # the residue mod 2**64 in int64 range
-        doubled[mask] = (value + (1 << 63)) % (1 << 64) - (1 << 63)
+    np.add.at(doubled, sign[adder], np.where(cadd, f1, 2 * f1)[adder])
+    np.add.at(doubled, (sign ^ function >> 1)[cadd], np.where(function & 1, f1, -f1)[cadd])
     # 2T mod 2**64; shifting right by one leaves T mod 2**63 in the low bits
     t = _butterfly(doubled) >> 1
     # np.bitwise_count returns uint8: widen before scaling by 2**b - 1
     x = np.arange(1 << eta, dtype=np.int64)
-    parity = (np.bitwise_count(x & sign) & 1).astype(np.int64)
+    parity = (np.bitwise_count(x & (int(sign[-1]) if n else 0)) & 1).astype(np.int64)
     ones = (1 << b) - 1
     return ((t + y0) & ones) ^ (parity * ones)
 
@@ -685,11 +669,21 @@ def _payload(spectrum: dict, sign: int, y0: int, eta: int, b: int) -> np.ndarray
 
 
 def circuit_to_lines(circuit: QromCircuit) -> str:
-    """Serialize to the line-oriented text format (one gate per line)."""
-    header = (
-        f"QROM {circuit.input_width} {circuit.payload_width} {circuit.ancilla_count}"
-    )
-    return "\n".join([header, *(g.text() for g in circuit.gates)]) + "\n"
+    """Serialize to the line-oriented text format (one gate per line).
+
+    Each distinct row is formatted once and its text reused for every
+    repeat: an emitted circuit repeats a few kinds of line many times over.
+    """
+    header = f"QROM {circuit.input_width} {circuit.payload_width} {circuit.ancilla_count}"
+    table = circuit.table
+    order = np.lexsort(table.T[::-1])
+    ranked = table[order]
+    new = np.ones(len(ranked), dtype=bool)
+    new[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    distinct = np.empty(len(ranked), dtype=np.intp)
+    distinct[order] = np.cumsum(new) - 1
+    texts = [_format(row) for row in ranked[new].tolist()]
+    return "\n".join([header, *map(texts.__getitem__, distinct.tolist())]) + "\n"
 
 
 def circuit_from_lines(text: str) -> QromCircuit:
@@ -697,36 +691,41 @@ def circuit_from_lines(text: str) -> QromCircuit:
 
     A :class:`ParseError` names the offending line of ``text`` (1-based);
     when the same faulty line occurs more than once, the first occurrence.
-    Each distinct line (after stripping) is parsed once per call and its
-    gate reused for every repeat: gates are frozen, and an emitted circuit
-    repeats a few kinds of line (CNOT, X, CADD) many times over.
+    Each distinct line is parsed once into a table row, and the table is one
+    fancy index of those rows.  A field that does not fit int64 is an error.
     """
-    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
-    if not lines or not lines[0][1].startswith("QROM "):
+    lines = text.splitlines()
+    h = next((i for i, line in enumerate(lines) if line.strip()), len(lines))
+    header = lines[h].strip() if h < len(lines) else ""
+    if not header.startswith("QROM "):
         raise ParseError("missing 'QROM <eta> <b> <ancillas>' header line")
-    header_no, header = lines[0]
     try:
         _, eta_s, b_s, anc_s = header.split()
         eta, b, anc = int(eta_s), int(b_s), int(anc_s)
     except ValueError as exc:
         raise ParseError(f"bad header {header!r}") from exc
-    parsed: dict = {}
-    gates: list = []
-    for lineno, line in lines[1:]:
-        gate = parsed.get(line)
-        if gate is None:
-            op, *fields = line.split()
-            kind = _GATE_KINDS.get(op)
-            if kind is None:
-                raise ParseError(f"line {lineno}: unknown opcode {op!r}")
-            try:
-                gate = parsed[line] = kind.parse(fields)
-            except ValueError as exc:
-                raise ParseError(f"line {lineno}: cannot parse {line!r}") from exc
-        gates.append(gate)
+    body = lines[h + 1 :]
+    ids = dict.fromkeys(body)  # each distinct line, in order of first occurrence
+    rows: list = []
+    for line in ids:
+        name, *fields = line.split() or [None]
+        ids[line] = len(rows) if name else -1
+        if name is None:
+            continue
+        op = _OPCODES.get(name)
+        if op is None:
+            raise ParseError(f"line {body.index(line) + h + 2}: unknown opcode {name!r}")
+        try:
+            rows.append(_parse_row(op, fields))
+        except ValueError as exc:
+            lineno = body.index(line) + h + 2
+            raise ParseError(f"line {lineno}: cannot parse {line.strip()!r}") from exc
+    index = np.fromiter(map(ids.__getitem__, body), dtype=np.intp, count=len(body))
+    gate_lines = np.flatnonzero(index >= 0)
+    table = np.array(rows, dtype=np.int64).reshape(-1, 4)[index[gate_lines]]
     try:
-        return QromCircuit(input_width=eta, payload_width=b, ancilla_count=anc, gates=gates)
+        return QromCircuit(input_width=eta, payload_width=b, ancilla_count=anc, gates=table)
     except GateError as exc:
-        raise ParseError(f"line {lines[exc.index + 1][0]}: {exc}") from exc
+        raise ParseError(f"line {gate_lines[exc.index] + h + 2}: {exc}") from exc
     except RangeError as exc:
-        raise ParseError(f"line {header_no}: {exc}") from exc
+        raise ParseError(f"line {h + 1}: {exc}") from exc

@@ -26,6 +26,7 @@ from whqrom.qrom import (
 from whqrom.wht import (
     SampledFunction,
     TruncatedSpectrum,
+    WalshSpectrum,
     minimal_truncation,
     quantize,
     wht_forward,
@@ -404,6 +405,58 @@ class TestIrInvariants:
         with pytest.raises(RangeError):
             Adder(1 << 4, 4)
 
+    def test_field_past_int64_rejected(self):
+        # a mask below 2**eta and a constant below 2**b, but neither fits int64
+        with pytest.raises(ParseError, match=r"^line 2: cannot parse 'PFX 0x10000000000000000 4'"):
+            circuit_from_lines("QROM 70 4 0\nPFX 0x10000000000000000 4\n")
+        with pytest.raises(RangeError, match="does not fit int64"):
+            QromCircuit(70, 4, 0, (Pfx(1 << 64, 4),))
+        with pytest.raises(ParseError, match=r"^line 3: cannot parse"):
+            circuit_from_lines(f"QROM 2 64 1\nX 66\nADD {1 << 63} 64\nX 66\n")
+        with pytest.raises(RangeError, match="does not fit int64"):
+            QromCircuit(2, 64, 0, (Adder(1 << 63, 64),))
+        with pytest.raises(RangeError, match="does not fit int64"):
+            QromCircuit(2, 4, 1, (Cnot(0, 1 << 63),))
+        with pytest.raises(RangeError, match="must be int64, got uint64"):
+            QromCircuit(70, 4, 0, np.array([[qrom.PFX, 1 << 63, 4, 0]], dtype=np.uint64))
+
+    def test_table_breaking_a_record_rule_rejected(self):
+        # a table given whole skips the records, so the circuit checks their rules
+        for row, message in (
+            ((qrom.PFX, 0, 4, 0), r"gate 1: PFX 0x0 4: mask must be nonzero"),
+            ((qrom.ADD, 16, 4, 0), r"gate 1: ADD 16 4: \|k\| must be < 2\*\*4"),
+            ((qrom.CADD, -(1 << 63), 4, 1), r"gate 1: CADD -9223372036854775808 4 1: \|k\|"),
+        ):
+            table = np.array([Adder(1, 4).row, row], dtype=np.int64)
+            with pytest.raises(qrom.GateError, match=message):
+                QromCircuit(2, 4, 0, table)
+        assert QromCircuit(2, 64, 0, np.array([[qrom.ADD, -(1 << 63), 64, 0]])).gates[0].k == -(1 << 63)
+
+    def test_register_width_past_int64_rejected(self):
+        with pytest.raises(ParseError, match=r"^line 2: register widths must be < 2\*\*63"):
+            circuit_from_lines(f"\nQROM 2 {1 << 63} 0\n")
+        with pytest.raises(RangeError, match=r"must be < 2\*\*63"):
+            QromCircuit(2, 4, 1 << 63)
+        widest = QromCircuit(2, 64, (1 << 63) - 67, (Adder(-(1 << 63), 64), Adder(5, 64)))
+        assert simulate(widest, 3, 1) == (1 << 63) + 6
+        with pytest.raises(ScaleError, match="int64 payload limit"):
+            simulate_table(QromCircuit(2, (1 << 63) - 1), 0)
+
+    def test_equality_is_header_and_table(self):
+        gates = (Pfx(0b11, 4), Adder(-3, 4), Pfx(0b01, 4))
+        circ = QromCircuit(2, 4, 0, gates)
+        assert circ == QromCircuit(2, 4, 0, circ.table) == QromCircuit(2, 4, 0, list(gates))
+        assert circ != QromCircuit(2, 4, 1, gates)
+        assert circ != QromCircuit(2, 4, 0, gates[:2])
+        assert circ.gates == gates and circ.gates[1:] == gates[1:] and circ.gates[-1] == gates[-1]
+        with pytest.raises(ValueError):
+            circ.table[0, 1] = 2
+
+    def test_gate_count_builds_no_records(self, monkeypatch):
+        circ = QromCircuit(2, 4, 0, (Pfx(0b11, 4), Adder(-3, 4)))
+        monkeypatch.setattr(qrom, "_record", None)
+        assert len(circ.gates) == 2
+
 
 class TestInt64Boundary:
     def test_involution_at_width_limit(self):
@@ -418,15 +471,273 @@ class TestInt64Boundary:
         assert np.array_equal(_butterfly(_butterfly(f.values)), values << eta)
 
 
+# ---------------------------------------------------------------------------
+# Object-per-gate oracles: one gate object and one Python loop per step.
+# Validation, cost, synthesis, pair cancellation, the Walsh fold and the wire
+# parser each work on columns of the gate table; each is checked against the
+# loop below that does the same job gate by gate.
+# ---------------------------------------------------------------------------
+
+
+def oracle_text(gate):
+    if isinstance(gate, Pfx):
+        return f"PFX {gate.mask:#x} {gate.width}"
+    if isinstance(gate, Adder):
+        return f"ADD {gate.k} {gate.width}"
+    if isinstance(gate, CAdder):
+        return f"CADD {gate.k} {gate.width} {gate.control}"
+    if isinstance(gate, Cnot):
+        return f"CNOT {gate.control} {gate.target}"
+    return f"X {gate.target}"
+
+
+def oracle_lines(eta, b, anc, gates):
+    return "\n".join([f"QROM {eta} {b} {anc}", *map(oracle_text, gates)]) + "\n"
+
+
+def oracle_lsb(k):
+    return (abs(k) & -abs(k)).bit_length() - 1 if k else 0
+
+
+def oracle_resources(gate):
+    """(t, cnots, other cliffords, workspace) of one gate."""
+    if isinstance(gate, (Adder, CAdder)):
+        controls = isinstance(gate, CAdder)
+        workspace = max(0, gate.width - 2 + controls - oracle_lsb(gate.k)) if gate.k else 0
+        return 4 * workspace, 0, 0, workspace
+    if isinstance(gate, Pfx):
+        return 0, 2 * (gate.mask.bit_count() - 1) + gate.width, 0, 0
+    return (0, 1, 0, 0) if isinstance(gate, Cnot) else (0, 0, 1, 0)
+
+
+def oracle_cost(eta, b, anc, gates):
+    t = cnot = clifford = max_workspace = 0
+    for gate in gates:
+        gt, gcnot, gcliff, workspace = oracle_resources(gate)
+        t += gt
+        cnot += gcnot
+        clifford += gcliff + gcnot
+        max_workspace = max(max_workspace, workspace)
+    return CostReport.assemble(t, cnot, clifford, eta + b + anc + max_workspace, t // 4)
+
+
+def oracle_fault(gate, eta, b, total):
+    """The first circuit rule the gate breaks on its own, or None."""
+
+    def width(w):
+        return f"width {w} differs from the payload width {b}" if w != b else None
+
+    def qubit(q, first):
+        return f"qubit {q} outside [{first}, {total})" if not first <= q < total else None
+
+    def control(q):
+        return "control is a payload qubit" if eta <= q < eta + b else qubit(q, 0)
+
+    if isinstance(gate, Pfx):
+        return f"mask must be < 2**{eta}" if gate.mask >> eta else width(gate.width)
+    if isinstance(gate, Adder):
+        return width(gate.width)
+    if isinstance(gate, CAdder):
+        return control(gate.control) or width(gate.width)
+    if isinstance(gate, Cnot):
+        if gate.control == gate.target:
+            return "control equals target"
+        return control(gate.control) or qubit(gate.target, eta + b)
+    return qubit(gate.target, eta + b)
+
+
+def oracle_validate(eta, b, anc, gates):
+    if min(eta, b, anc) < 0:
+        raise RangeError(f"register widths must be nonnegative, got ({eta}, {b}, {anc})")
+    previous = None
+    for i, gate in enumerate(gates):
+        fault = oracle_fault(gate, eta, b, eta + b + anc)
+        if fault is None and isinstance(gate, Pfx) and isinstance(previous, Pfx):
+            fault = "adjacent PFX gates must be merged by mask XOR"
+        if fault:
+            raise qrom.GateError(i, f"{oracle_text(gate)}: {fault}")
+        previous = gate
+
+
 def parse_per_line(text):
-    """The wire parser with no memo: every line is parsed on its own."""
-    header, *lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    _, eta, b, anc = header.split()
+    """The wire parser with no memo and the per-gate validator: every line
+    is parsed on its own.  Returns the circuit, raising ParseError as the
+    column parser does."""
+    lines = [(n, ln.strip()) for n, ln in enumerate(text.splitlines(), 1) if ln.strip()]
+    if not lines or not lines[0][1].startswith("QROM "):
+        raise ParseError("missing 'QROM <eta> <b> <ancillas>' header line")
+    header_no, header = lines[0]
+    try:
+        _, eta, b, anc = header.split()
+        eta, b, anc = int(eta), int(b), int(anc)
+    except ValueError as exc:
+        raise ParseError(f"bad header {header!r}") from exc
+    kinds = {"PFX": Pfx, "ADD": Adder, "CADD": CAdder, "CNOT": Cnot, "X": XGate}
     gates = []
-    for line in lines:
+    for lineno, line in lines[1:]:
         op, *fields = line.split()
-        gates.append(qrom._GATE_KINDS[op].parse(fields))
-    return QromCircuit(int(eta), int(b), int(anc), tuple(gates))
+        if op not in kinds:
+            raise ParseError(f"line {lineno}: unknown opcode {op!r}")
+        try:
+            if op == "PFX":
+                mask, width = fields
+                gates.append(Pfx(int(mask, 16), int(width)))
+            elif len(fields) != len(kinds[op].__dataclass_fields__):
+                raise ValueError(f"{op} takes another field count")
+            else:
+                gates.append(kinds[op](*map(int, fields)))
+        except ValueError as exc:
+            raise ParseError(f"line {lineno}: cannot parse {line!r}") from exc
+    try:
+        oracle_validate(eta, b, anc, gates)
+    except qrom.GateError as exc:
+        raise ParseError(f"line {lines[exc.index + 1][0]}: {exc}") from exc
+    except RangeError as exc:
+        raise ParseError(f"line {header_no}: {exc}") from exc
+    return QromCircuit(eta, b, anc, tuple(gates))
+
+
+def oracle_centered(k, b):
+    k %= 1 << b
+    return k - (1 << b) if k >= 1 << (b - 1) else k
+
+
+def oracle_gray_rank(z):
+    m, shift = z, 1
+    while m >> shift:
+        m ^= m >> shift
+        shift *= 2
+    return m
+
+
+def oracle_items(spec):
+    b = spec.base.b
+    return [(z, oracle_centered(c, b)) for z, c in spec.support_coeffs() if c % (1 << b)]
+
+
+def oracle_chain(items, b):
+    gates, prev = [], 0
+    for z, c in items:
+        if prev ^ z:
+            gates.append(Pfx(prev ^ z, b))
+        gates.append(Adder(c, b))
+        prev = z
+    if prev:
+        gates.append(Pfx(prev, b))
+    return gates
+
+
+def oracle_synthesize(spec, ordering=Ordering.GRAY_CODE):
+    b = spec.base.b
+    items = oracle_items(spec)
+    gates = oracle_chain(items, b)
+    if ordering is Ordering.GRAY_CODE:
+        gray = oracle_chain(sorted(items, key=lambda zc: oracle_gray_rank(zc[0])), b)
+
+        def pfx_cnots(gs):
+            return sum(oracle_resources(g)[1] for g in gs if isinstance(g, Pfx))
+
+        if pfx_cnots(gray) <= pfx_cnots(gates):
+            gates = gray
+    return gates
+
+
+def oracle_merge_pfx(gates, b):
+    out = []
+    for gate in gates:
+        if isinstance(gate, Pfx) and out and isinstance(out[-1], Pfx):
+            merged = out.pop().mask ^ gate.mask
+            if merged:
+                out.append(Pfx(merged, b))
+        else:
+            out.append(gate)
+    return out
+
+
+def oracle_pair_block(zs, cs, zo, co, b, anc, eta):
+    plus, minus = oracle_centered(cs + co, b), oracle_centered(cs - co, b)
+    parity = [Cnot(i, anc) for i in range(eta) if (zs ^ zo) >> i & 1]
+    gates = [Pfx(zs, b)] if zs else []
+    gates += parity
+    if plus:
+        gates += [XGate(anc), CAdder(plus, b, anc), XGate(anc)]
+    if minus:
+        gates.append(CAdder(minus, b, anc))
+    gates += parity[::-1]
+    return gates + ([Pfx(zs, b)] if zs else [])
+
+
+def oracle_pair_cancel(gates, spec):
+    """(ancilla count, gates) of pair_cancel on the circuit of these gates."""
+    eta, b = spec.eta, spec.base.b
+    items = oracle_items(spec)
+    if len(items) < 2:
+        return 0, gates
+    remaining, pairs, by_mag, by_lsb = dict(items), [], {}, {}
+    for z, c in items:
+        by_mag.setdefault(abs(c), []).append(z)
+    for _, masks in sorted(by_mag.items()):
+        while len(masks) >= 2:
+            pairs.append((masks.pop(0), masks.pop(0)))
+    for z1, z2 in pairs:
+        remaining.pop(z1), remaining.pop(z2)
+    for z, c in remaining.items():
+        by_lsb.setdefault(oracle_lsb(c), []).append(z)
+    for _, masks in sorted(by_lsb.items()):
+        masks.sort()
+        while len(masks) >= 2:
+            z1, z2 = masks.pop(0), masks.pop(0)
+            pairs.append((z1, z2))
+            remaining.pop(z1), remaining.pop(z2)
+    if not pairs:
+        return 0, gates
+    coeff = dict(items)
+    out = oracle_chain([(z, c) for z, c in items if z in remaining], b)
+    oriented = [tuple(sorted(pair, key=lambda z: (z.bit_count(), z))) for pair in pairs]
+    for zs, zo in sorted(oriented, key=lambda zz: oracle_gray_rank(zz[0])):
+        out += oracle_pair_block(zs, coeff[zs], zo, coeff[zo], b, eta + b, eta)
+    out = oracle_merge_pfx(out, b)
+    before, after = oracle_cost(eta, b, 0, gates), oracle_cost(eta, b, 1, out)
+    if after.t_count > before.t_count or after.cnot_count > before.cnot_count:
+        return 0, gates
+    return 1, out
+
+
+def oracle_table(circuit, y0):
+    """simulate_table by a dict fold of the gates into the doubled Walsh
+    spectrum, with each ancilla's affine function as a Python-int pair."""
+    eta, b = circuit.input_width, circuit.payload_width
+    sign, spectrum, ancillas = 0, {}, {}
+
+    def affine(q):
+        return (1 << q, 0) if q < eta else ancillas.get(q, (0, 0))
+
+    for gate in circuit.gates:
+        if isinstance(gate, Pfx):
+            sign ^= gate.mask
+        elif isinstance(gate, Adder):
+            spectrum[sign] = spectrum.get(sign, 0) + 2 * gate.k
+        elif isinstance(gate, CAdder):
+            mask, const = affine(gate.control)
+            spectrum[sign] = spectrum.get(sign, 0) + gate.k
+            flip = sign ^ mask
+            spectrum[flip] = spectrum.get(flip, 0) + (gate.k if const else -gate.k)
+        else:
+            mask, const = affine(gate.control) if isinstance(gate, Cnot) else (0, 1)
+            old_mask, old_const = affine(gate.target)
+            ancillas[gate.target] = (old_mask ^ mask, old_const ^ const)
+    if any(mask or const for mask, const in ancillas.values()):
+        raise ToleranceError("ancillas not restored to |0> at circuit end")
+    doubled = np.zeros(1 << eta, dtype=np.int64)
+    for mask, value in spectrum.items():
+        doubled[mask] = (value + (1 << 63)) % (1 << 64) - (1 << 63)
+    from whqrom.wht import _butterfly
+
+    t = _butterfly(doubled) >> 1
+    x = np.arange(1 << eta, dtype=np.int64)
+    parity = (np.bitwise_count(x & sign) & 1).astype(np.int64)
+    ones = (1 << b) - 1
+    return ((t + y0) & ones) ^ (parity * ones)
 
 
 class TestSerialization:
@@ -573,7 +884,7 @@ def frontier_t_depth(circuit):
             keys = [("q", gate.target)]
         start = max((frontier.get(k, 0) for k in keys), default=0)
         for k in keys:
-            frontier[k] = start + gate.resources()[0] // 4
+            frontier[k] = start + oracle_resources(gate)[0] // 4
     return max(frontier.values(), default=0)
 
 
@@ -703,3 +1014,118 @@ def test_emitted_circuits_never_leave_the_fragment():
         want = (y0 + (values << eta)) % (1 << b)
         assert np.array_equal(simulate_table(loaded, y0), want)
     assert with_ancilla
+
+
+@st.composite
+def spectra(draw):
+    """Truncated spectra with shared magnitudes and lsbs, b up to 63."""
+    eta = draw(st.integers(1, 6))
+    b = draw(st.integers(eta + 1, eta + 9) | st.integers(58, 63))
+    half = 1 << (b - 1)
+    pool = draw(st.lists(st.integers(-half, half), min_size=1, max_size=4))
+    coeff = st.sampled_from(pool) | st.sampled_from([-c for c in pool]) | st.integers(-half, half)
+    coeffs = np.array(draw(st.lists(coeff, min_size=1 << eta, max_size=1 << eta)), dtype=np.int64)
+    order = np.lexsort((np.arange(1 << eta), -np.abs(coeffs)))
+    k = draw(st.integers(0, 1 << eta))
+    return TruncatedSpectrum(base=WalshSpectrum(eta=eta, b=b, coeffs=coeffs), k=k, order=order)
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra())
+def test_synthesis_and_pair_cancel_match_the_gate_loops(spec):
+    eta, b = spec.eta, spec.base.b
+    for ordering in Ordering:
+        want = oracle_synthesize(spec, ordering)
+        got = synthesize(spec, ordering)
+        assert circuit_to_lines(got) == oracle_lines(eta, b, 0, want)
+        assert cost(got) == oracle_cost(eta, b, 0, want)
+    want = oracle_synthesize(spec)
+    anc, paired = oracle_pair_cancel(want, spec)
+    got = pair_cancel(synthesize(spec), spec)
+    assert circuit_to_lines(got) == oracle_lines(eta, b, anc, paired)
+    assert cost(got) == oracle_cost(eta, b, anc, paired)
+
+
+@settings(max_examples=300, deadline=None)
+@given(table_circuits())
+def test_cost_and_table_match_the_gate_loops(case):
+    circ, y0 = case
+    gates = tuple(circ.gates)
+    assert cost(circ) == oracle_cost(circ.input_width, circ.payload_width, circ.ancilla_count, gates)
+    try:
+        want = oracle_table(circ, y0)
+    except ToleranceError:
+        with pytest.raises(ToleranceError, match="ancillas not restored"):
+            simulate_table(circ, y0)
+        return
+    assert np.array_equal(simulate_table(circ, y0), want)
+
+
+def test_ancilla_chain_is_resolved_in_gate_order():
+    # each CNOT from an ancilla copies a function that an earlier one wrote
+    eta, b = 2, 5
+    a1, a2, a3 = eta + b, eta + b + 1, eta + b + 2
+    writes = [Cnot(0, a1), XGate(a1), Cnot(1, a1), Cnot(a1, a2), Cnot(a2, a3), Cnot(0, a2)]
+    adds = [CAdder(3, b, a3), CAdder(-5, b, a2), CAdder(7, b, a1)]
+    circ = QromCircuit(eta, b, 3, tuple(writes + adds + writes[::-1]))
+    table = simulate_table(circ, 4)
+    assert table.tolist() == [simulate(circ, x, 4) for x in range(1 << eta)]
+    assert np.array_equal(table, oracle_table(circ, 4))
+
+
+def test_cost_is_exact_past_int64():
+    wide = 1 << 62
+    gates = (Adder(1, wide), Pfx(0b11, wide), Adder(-1, wide), Pfx(0b11, wide)) * 2
+    circ = QromCircuit(2, wide, 0, gates)
+    assert cost(circ) == oracle_cost(2, wide, 0, gates)
+    assert cost(circ).t_count > 1 << 64
+
+
+@st.composite
+def any_gate(draw, eta, b, anc):
+    """A gate of any kind whose fields may break any circuit rule."""
+    qubit = st.integers(-2, eta + b + anc + 2)
+    kind = draw(st.sampled_from("PACNX"))
+    width = draw(st.sampled_from([b, b, b + 1, max(b - 1, 0)]))
+    if kind == "P":
+        return Pfx(draw(st.integers(1, 1 << (eta + 1))), width)
+    if kind in "AC":
+        k = draw(st.integers(-(1 << width) + 1, (1 << width) - 1))
+        return Adder(k, width) if kind == "A" else CAdder(k, width, draw(qubit))
+    return Cnot(draw(qubit), draw(qubit)) if kind == "N" else XGate(draw(qubit))
+
+
+JUNK_LINES = ["FOO 1", "ADD 1", "PFX 0x0 4", "ADD 99 4", "CNOT x 2", "X 1 2", "CADD 1 4", "PFX 3"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_injected_row_fails_as_the_gate_loop(data):
+    """One injected row breaks at most a few rules: the column validator and
+    parser name the same gate and line, with the same message, as the loops."""
+    circ, _ = data.draw(valid_circuits())
+    eta, b, anc = circ.input_width, circ.payload_width, circ.ancilla_count
+    gates = list(circ.gates)
+    at = data.draw(st.integers(0, len(gates)))
+    gates.insert(at, data.draw(any_gate(eta, b, anc)))
+    try:
+        oracle_validate(eta, b, anc, gates)
+    except qrom.GateError as exc:
+        with pytest.raises(qrom.GateError) as got:
+            QromCircuit(eta, b, anc, tuple(gates))
+        assert (got.value.index, str(got.value)) == (exc.index, str(exc))
+    else:
+        assert QromCircuit(eta, b, anc, tuple(gates)).gates == tuple(gates)
+    lines = oracle_lines(eta, b, anc, gates).splitlines()
+    junk = data.draw(st.sampled_from(JUNK_LINES))
+    for _ in range(data.draw(st.integers(0, 2))):
+        lines.insert(data.draw(st.integers(1, len(lines))), junk)
+    text = "\n".join(lines) + "\n"
+    try:
+        want = parse_per_line(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as got:
+            circuit_from_lines(text)
+        assert str(got.value) == str(exc)
+    else:
+        assert circuit_from_lines(text) == want
