@@ -71,6 +71,9 @@ ANGSTROM_TO_BOHR = 1.8897259886
 #: bounded by dvr.MAX_POINTS, since it builds several n x n matrices.
 MAX_GRID_SIZE = 1 << 20
 
+#: The stretch fields that the r1 <-> r2 exchange must leave unchanged.
+_EXCHANGE_FIELDS = ("basis_sizes", "masses_da", "freqs_cm")
+
 
 class Strategy:
     FULL_DVR = "FULL_DVR"
@@ -157,6 +160,14 @@ class ToyMoleculeSpec:
         for n in self.basis_sizes:
             out *= n
         return out
+
+    @property
+    def exchange_symmetric(self) -> bool:
+        """Two stretches of equal size, mass and frequency: then SWAP of the
+        stretches commutes with H, and H = H_eff + SWAP H_eff SWAP."""
+        return self.radial_count == 2 and all(
+            getattr(self, name)[0] == getattr(self, name)[1] for name in _EXCHANGE_FIELDS
+        )
 
 
 def water_spec(
@@ -776,10 +787,21 @@ def norm_estimates(system: WaterSystem, strategy: str) -> NormEstimate:
     SEPARATE_DVR prices each H_eff term as one d-sparse DVR block;
     FULL_DVR uses rho_H * max|H|; LCU_FBR brackets the Pauli L1 weight by
     Frobenius traces and reports sqrt(Tr H^2) as the point value.
+
+    FBR_DVR and SEPARATE_DVR price a water-form H as H_eff + SWAP H_eff
+    SWAP, so they need a :attr:`ToyMoleculeSpec.exchange_symmetric` spec: a
+    :class:`ConfigError` names the first stretch field that differs.
     """
     if strategy not in Strategy.ALL:
         raise ConfigError(f"unknown strategy {strategy!r}")
     spec = system.spec
+    reduced = strategy in (Strategy.FBR_DVR, Strategy.SEPARATE_DVR)
+    if reduced and spec.has_bend and not spec.exchange_symmetric:
+        name = next(f for f in _EXCHANGE_FIELDS if getattr(spec, f)[0] != getattr(spec, f)[1])
+        raise ConfigError(
+            f"{name}: {strategy} needs equal stretches for the r1 <-> r2 exchange "
+            f"symmetry, got {getattr(spec, name)[:2]}; FULL_DVR and LCU_FBR price any spec"
+        )
     dims = system.dims
     n_grid = spec.grid_size
 
@@ -1016,7 +1038,8 @@ def strategy_cost(
     mode's size and table.  The loads follow the H_eff terms: the four
     radial momentum loads are P1 in kin_r1, stretch_cross and
     stretch_bend_1 and P2 in stretch_cross; the 1/R load is the 1/R2 of
-    stretch_bend_1; two-stretch tables span n_r1 n_r2 points.
+    stretch_bend_1; two-stretch tables span n_r1 n_r2 points.  The exchange
+    check of :func:`norm_estimates` runs before any table is priced.
     """
     if strategy not in Strategy.ALL:
         raise ConfigError(f"unknown strategy {strategy!r}")

@@ -551,17 +551,21 @@ def simulate(circuit: QromCircuit, x: int, y: int) -> int:
 
     Every gate is a permutation composed with modular additions, so this is
     pure integer arithmetic, one gate at a time: the reference that
-    :func:`simulate_table` is tested against.
+    :func:`simulate_table` is tested against.  x and y are range-checked by
+    shifts and b <= 63 (:class:`ScaleError`) before anything is built; the
+    set ancillas are held as a set of qubit indices.
     """
     eta, b = circuit.input_width, circuit.payload_width
-    if not 0 <= x < (1 << eta):
+    if x < 0 or x >> eta:
         raise RangeError(f"x = {x} outside [0, 2**{eta})")
-    if not 0 <= y < (1 << b):
+    if y < 0 or y >> b:
         raise RangeError(f"y = {y} outside [0, 2**{b})")
-    ones, ancillas = (1 << b) - 1, 0
+    if b > 63:
+        raise ScaleError(f"payload width b = {b} exceeds 63, the int64 payload limit")
+    ones, ancillas = (1 << b) - 1, set()
 
     def bit(q: int) -> int:
-        return x >> q & 1 if q < eta else ancillas >> (q - eta - b) & 1
+        return x >> q & 1 if q < eta else q in ancillas
 
     for op, f1, f2, f3 in circuit.table.tolist():
         if op == PFX:
@@ -569,9 +573,9 @@ def simulate(circuit: QromCircuit, x: int, y: int) -> int:
         elif op == ADD or op == CADD and bit(f3):
             y = (y + f1) & ones
         elif op == CNOT and bit(f1):
-            ancillas ^= 1 << (f2 - eta - b)
+            ancillas ^= {f2}
         elif op == X:
-            ancillas ^= 1 << (f1 - eta - b)
+            ancillas ^= {f1}
     if ancillas:
         raise ToleranceError("ancillas not restored to |0> at circuit end")
     return y

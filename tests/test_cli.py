@@ -293,6 +293,13 @@ class TestMolham:
         assert code == 2
         assert "masses_da" in capsys.readouterr().err
 
+    def test_reduced_strategies_need_exchange_symmetry(self, tmp_path, capsys):
+        cfg = tmp_path / "asym.yaml"
+        cfg.write_text("basis_sizes: [8, 8, 8]\nmasses_da: [0.948, 1.896]\nfreqs_cm: [3700, 3700]\n")
+        assert run(tmp_path, "molham", "--config", str(cfg), "--strategy", "all") == 2
+        assert "config error: masses_da: SEPARATE_DVR needs equal stretches" in capsys.readouterr().err
+        assert run(tmp_path, "molham", "--config", str(cfg), "--strategy", "FULL_DVR") == 0
+
     def test_sweep_csv_feeds_fit(self, tmp_path):
         code = run(
             tmp_path,

@@ -1,5 +1,6 @@
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -113,6 +114,36 @@ class TestWaterHamiltonian:
         s = np.zeros_like(h)
         s[swapped, np.arange(h.shape[0])] = 1.0
         assert np.max(np.abs(heff + s @ heff @ s - h)) < 1e-12
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            water_spec(n_r=4, n_theta=4),
+            water_spec(n_r=4, n_theta=6, omega_cm=2500.0, r0_angstrom=1.1),
+            ToyMoleculeSpec(basis_sizes=(4, 4, 4), masses_da=(1.5, 1.5), freqs_cm=(3000.0, 3000.0)),
+            replace(water_spec(n_r=4, n_theta=4), masses_da=(0.948, 1.896)),
+            replace(water_spec(n_r=4, n_theta=4), freqs_cm=(3700.0, 3600.0)),
+        ],
+    )
+    def test_effective_half_is_exact_iff_exchange_symmetric(self, spec):
+        # H_eff + SWAP H_eff SWAP - H in exact rationals of the float64
+        # factors: 0 for every spec the predicate accepts, nonzero otherwise
+        def exact_dense(terms, dims):
+            total = 0
+            for term in terms:
+                block = np.ones((1, 1), dtype=object)
+                for i in range(len(dims) - 1, -1, -1):
+                    factor = np.vectorize(Fraction, otypes=[object])(term.factor(i, dims))
+                    block = np.kron(factor, block)
+                total = total + block
+            return total
+
+        system = water_hamiltonian(spec)
+        dims = system.dims
+        heff = exact_dense(system.terms_eff, dims)
+        swap = np.arange(heff.shape[0]).reshape(dims).transpose(1, 0, 2).reshape(-1)
+        residual = heff + heff[np.ix_(swap, swap)] - exact_dense(system.terms, dims)
+        assert (not residual.any()) == spec.exchange_symmetric
 
     def test_variational_monotonicity(self):
         # the quadrature treatment of the singular metric factors is not
@@ -466,39 +497,32 @@ class TestStrategyCost:
         assert booked["momentum_r"] == 14552
         assert booked["inv_r"] == 3574
 
-    @pytest.mark.parametrize("sizes", [(8, 16, 8), (16, 8, 8)])
-    def test_bend_spec_prices_each_stretch(self, sizes):
-        import dataclasses
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("basis_sizes", (8, 16, 8)),
+            ("basis_sizes", (16, 8, 8)),
+            ("masses_da", (0.948, 1.896)),
+            ("freqs_cm", (3700.0, 3600.0)),
+        ],
+    )
+    def test_asymmetric_bend_spec_rejects_the_reduced_strategies(self, field, value):
+        spec = replace(water_spec(), **{field: value})
+        assert not spec.exchange_symmetric
+        system = water_hamiltonian(spec)
+        for strategy in (Strategy.FBR_DVR, Strategy.SEPARATE_DVR):
+            with pytest.raises(ConfigError, match=f"^{field}: {strategy} needs equal stretches"):
+                norm_estimates(system, strategy)
+            for backend in Backend.ALL:
+                with pytest.raises(ConfigError, match=f"^{field}: "):
+                    strategy_cost(system, strategy, backend)
+        for strategy in (Strategy.FULL_DVR, Strategy.LCU_FBR):
+            assert strategy_cost(system, strategy).report.t_count > 0
 
-        from whqrom.molham import _SelectSwapBackend, _WhBackend
-
-        system = water_hamiltonian(dataclasses.replace(water_spec(), basis_sizes=sizes))
-        n_r1, n_r2, n_th = sizes
-        model = _SelectSwapBackend()
-
-        def booked(strategy, backend=Backend.SELECT_SWAP):
-            sc = strategy_cost(system, strategy, backend)
-            return dict((name, t) for name, t, _ in sc.breakdown)
-
-        fbr = booked(Strategy.FBR_DVR)
-        assert fbr["momentum_r"] == 3 * model.c_d(2 * n_r1)[0] + model.c_d(2 * n_r2)[0]
-        assert fbr["inv_r"] == model.c_d(n_r2)[0]
-        sep = booked(Strategy.SEPARATE_DVR)
-        assert sep["g_r2r2theta2"] == 2 * model.c_d(n_r1 * n_r2 * n_th * n_th)[0]
-        assert sep["g_r2"] == 6 * model.c_d(n_r1 * n_r2)[0]
-        assert sep["g_r"] == model.c_d(n_r2)[0]
-
-        def momentum_table(mode):
-            vals = np.abs(mode.c_fbr[np.nonzero(mode.c_fbr)])
-            return np.arccos(np.sqrt(vals / vals.max())) / math.pi
-
-        r1, r2, _ = system.modes
-        wh = booked(Strategy.FBR_DVR, Backend.WH)
-        assert wh["momentum_r"] == (
-            3 * _WhBackend._wh_cost(momentum_table(r1))[0]
-            + _WhBackend._wh_cost(momentum_table(r2))[0]
-        )
-        assert wh["inv_r"] == _WhBackend._wh_cost(1.0 / r2.nodes_r)[0]
+    def test_first_differing_stretch_field_is_named(self):
+        spec = replace(water_spec(), basis_sizes=(8, 16, 8), freqs_cm=(3700.0, 3600.0))
+        with pytest.raises(ConfigError, match="^basis_sizes: "):
+            norm_estimates(water_hamiltonian(spec), Strategy.FBR_DVR)
 
     def test_wh_tables_are_priced_once_per_memo(self, small_system, monkeypatch):
         from whqrom.molham import _WhBackend

@@ -137,7 +137,8 @@ class TestSimulate:
 
     def test_table_scale_guards(self, monkeypatch):
         wide = circuit_from_lines("QROM 2 64 0\nADD 5 64\n")
-        assert simulate(wide, 1, 0) == 5
+        with pytest.raises(ScaleError, match="int64 payload limit"):
+            simulate(wide, 1, 0)
         with pytest.raises(ScaleError, match="int64 payload limit"):
             simulate_table(wide, 0)
         many = QromCircuit(1, 2, 64, (XGate(66), XGate(66)))
@@ -160,6 +161,26 @@ class TestSimulate:
         monkeypatch.setattr(qrom, "np", None)
         with pytest.raises(ScaleError, match="MAX_TABLE_ETA"):
             simulate_table(huge, 0)
+
+    def test_scalar_limits_checked_before_anything_is_built(self):
+        # a payload or input width inside int64 but far past 63 bits is a
+        # documented error of both paths, never a MemoryError
+        for circ in (QromCircuit(2, 1 << 62), QromCircuit(2, 64)):
+            with pytest.raises(ScaleError, match="int64 payload limit"):
+                simulate(circ, 0, 0)
+            with pytest.raises(ScaleError, match="int64 payload limit"):
+                simulate_table(circ, 0)
+        tall = QromCircuit(1 << 62, 4)
+        assert simulate(tall, (1 << 80) + 3, 9) == 9
+        with pytest.raises(RangeError):
+            simulate(tall, -1, 0)
+        with pytest.raises(RangeError):
+            simulate(tall, 0, 16)
+        # an ancilla index far past 63 bits is held by index, not as a bit
+        far = 1 << 61
+        circ = circuit_from_lines(f"QROM 2 3 {1 << 62}\nCNOT 1 {far}\nCADD 3 3 {far}\nCNOT 1 {far}\n")
+        table = simulate_table(circ, 1).tolist()
+        assert [simulate(circ, x, 1) for x in range(4)] == table == [1, 1, 4, 4]
 
     def test_functional_correctness_random_pipeline(self):
         rng = np.random.default_rng(23)
@@ -438,7 +459,8 @@ class TestIrInvariants:
         with pytest.raises(RangeError, match=r"must be < 2\*\*63"):
             QromCircuit(2, 4, 1 << 63)
         widest = QromCircuit(2, 64, (1 << 63) - 67, (Adder(-(1 << 63), 64), Adder(5, 64)))
-        assert simulate(widest, 3, 1) == (1 << 63) + 6
+        with pytest.raises(ScaleError, match="int64 payload limit"):
+            simulate(widest, 3, 1)
         with pytest.raises(ScaleError, match="int64 payload limit"):
             simulate_table(QromCircuit(2, (1 << 63) - 1), 0)
 

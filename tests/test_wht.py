@@ -307,6 +307,14 @@ def _hard_table(kind, rng, eta, d):
     elif kind == "half":
         # numerators near the half-period arc, wrapping across -2**(b-1)
         values = rng.choice([-half, half - 1], size=n) + noise
+    elif kind == "spikes":
+        # a few quarter-height spikes: a flat spectrum the search crosses in
+        # jumps of hundreds of terms, after the steps of an optional character
+        values = noise * (d > 6)
+        values[rng.integers(0, n, size=int(rng.integers(1, 4)))] += rng.choice([-1, 1]) * (half >> 1)
+        x = np.arange(n, dtype=np.uint64)
+        character = 1 - 2 * (np.bitwise_count(x & np.uint64(rng.integers(0, n))).astype(np.int64) & 1)
+        values += int(rng.integers(0, 2)) * (half >> 2) * character
     else:  # "ties": equal-magnitude characters, broken only by the mask order
         x = np.arange(n, dtype=np.uint64)
         values = np.zeros(n, dtype=np.int64)
@@ -321,7 +329,7 @@ def _hard_table(kind, rng, eta, d):
     eta=st.integers(min_value=1, max_value=10),
     d=st.integers(min_value=2, max_value=12),
     seed=st.integers(min_value=0, max_value=2**31),
-    kind=st.sampled_from(["uniform", "quarter", "half", "ties"]),
+    kind=st.sampled_from(["uniform", "quarter", "half", "ties", "spikes"]),
     epsilon=st.one_of(
         st.integers(min_value=1, max_value=14).map(lambda j: 2.0**-j), st.just(1e-300)
     ),
@@ -353,6 +361,40 @@ def test_skip_search_on_non_monotone_profiles():
                         first = int(np.flatnonzero(curve < epsilon)[0])
                         assert minimal_truncation(f, epsilon).k == first
     assert checked >= 8
+
+
+def test_skip_search_lands_on_both_sides_of_the_product_limit(monkeypatch):
+    # a landing more than R = 32 eta terms ahead is a rebuild, a nearer one a
+    # product: searches that switch between them in both orders still return
+    # the linear scan's k
+    jumps = []
+    rebuild, advance = wht._rebuild, wht._IncrementalScan.advance
+
+    def spy_rebuild(scan, spectrum, k):
+        jumps.append((k - scan.k, True))
+        rebuild(scan, spectrum, k)
+
+    def spy_advance(scan, count=1):
+        jumps.append((count, False))
+        advance(scan, count)
+
+    monkeypatch.setattr(wht, "_rebuild", spy_rebuild)
+    monkeypatch.setattr(wht._IncrementalScan, "advance", spy_advance)
+    rng = np.random.default_rng(61)
+    up = down = 0
+    for _ in range(24):
+        eta, d = int(rng.integers(9, 11)), int(rng.integers(4, 13))
+        f = _hard_table("spikes", rng, eta, d)
+        curve = truncation_error_curve(f)
+        for epsilon in (2.0**-4, 2.0**-10, 1e-300):
+            jumps.clear()
+            assert minimal_truncation(f, epsilon).k == int(np.flatnonzero(curve < epsilon)[0])
+            limit = 32 * eta
+            assert all((size > limit) == rebuilt for size, rebuilt in jumps)
+            sizes = [size for size, _ in jumps]
+            up += any(a <= limit < b for a, b in zip(sizes, sizes[1:]))
+            down += any(a > limit >= b > 1 for a, b in zip(sizes, sizes[1:]))
+    assert up and down
 
 
 def test_epsilon_at_or_above_two():
@@ -480,6 +522,73 @@ def test_masked_advance_equals_mod_update(eta, data):
     scan.advance()
     assert scan.k == 1
     assert np.array_equal(scan.num, expected)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eta=st.integers(min_value=0, max_value=10),
+    data=st.data(),
+)
+def test_advance_by_count_equals_single_steps(eta, data):
+    # one separable product over m coefficients against m single steps, bit
+    # for bit; b above the limb width 52 - m.bit_length() takes two limbs
+    n = 1 << eta
+    b = data.draw(st.integers(min_value=eta + 1, max_value=62))
+    period, half = 1 << b, 1 << (b - 1)
+    m = data.draw(st.integers(min_value=1, max_value=n))
+    start = data.draw(st.integers(min_value=0, max_value=n - m))
+    rng = np.random.default_rng(data.draw(st.integers(min_value=0, max_value=2**32)))
+    coeffs = rng.integers(-half, half, size=n, endpoint=True)
+    limb = 1 << (52 - m.bit_length())
+    edges = [half, -half, half - 1, 1 - half] + [v for v in (limb - 1, limb, limb + 1) if v <= half]
+    special = st.sampled_from(edges).flatmap(lambda v: st.sampled_from([v, -v]))
+    for z, v in data.draw(st.lists(st.tuples(st.integers(0, n - 1), special), max_size=8)):
+        coeffs[z] = v
+    order = rng.permutation(n).astype(np.int64)
+    num = rng.integers(0, period, size=n)
+    product, steps = _scan(eta, b, coeffs, order), _scan(eta, b, coeffs, order)
+    product.num, steps.num = num.copy(), num.copy()
+    product.k = steps.k = start
+    product.advance(m)
+    for _ in range(m):
+        steps.advance()
+    assert product.k == steps.k == start + m
+    assert product.num.dtype == np.int64
+    assert np.array_equal(product.num, steps.num)
+
+
+def copy_butterfly(values):
+    """The radix-2 butterfly that copies both halves at every level."""
+    a = np.array(values, dtype=np.int64)
+    h = 1
+    while h < a.shape[0]:
+        a = a.reshape(-1, 2 * h)
+        lo, hi = a[:, :h].copy(), a[:, h:].copy()
+        a[:, :h] = lo + hi
+        a[:, h:] = lo - hi
+        a = a.reshape(-1)
+        h *= 2
+    return a
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    eta=st.integers(min_value=0, max_value=12),
+    bits=st.integers(min_value=1, max_value=50),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_in_place_butterfly_equals_copy_and_hadamard(eta, bits, seed):
+    from scipy.linalg import hadamard
+
+    n = 1 << eta
+    values = np.random.default_rng(seed).integers(-(1 << (bits - 1)), 1 << (bits - 1), size=n)
+    before = values.copy()
+    got = wht._butterfly(values)
+    assert np.array_equal(values, before)
+    assert np.array_equal(got, copy_butterfly(values))
+    signs = hadamard(n, dtype=np.int8)
+    rows = [block.astype(np.int64) @ values for block in np.array_split(signs, max(1, n // 256))]
+    assert np.array_equal(got, np.concatenate(rows))
 
 
 class TestFileIngestion:
