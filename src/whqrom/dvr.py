@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .errors import ConfigError, RangeError, ScaleError, ShapeError
 from .qrom import CostReport
@@ -142,6 +141,9 @@ def gauss_quadrature(kind: QuadratureKind | str, n: int) -> Quadrature:
             f"Hermite point count {n} exceeds the limit MAX_HERMITE_POINTS = "
             f"{MAX_HERMITE_POINTS}: the outermost weights underflow float64 beyond it"
         )
+    # imported here so that the table commands do not pay for scipy.linalg at start-up
+    from scipy.linalg import eigh_tridiagonal
+
     alpha, beta, _ = _jacobi_recurrence(kind, n)
     if n == 1:
         nodes = np.array([alpha[0]])

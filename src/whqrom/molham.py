@@ -33,7 +33,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import eigh
 
 from .baseline import optimal_lookup
 from .dvr import MAX_POINTS, QuadratureKind, build_transform, dvr_oracle_cost, gauss_quadrature
@@ -495,6 +494,9 @@ class WaterSystem:
         Fewer than ``count`` levels come back when the grid has fewer
         points.
         """
+        # imported here so that the table commands do not pay for scipy.linalg at start-up
+        from scipy.linalg import eigh
+
         n = self.spec.grid_size
         if count < 1:
             raise RangeError(f"level count must be at least 1, got {count}")
@@ -612,6 +614,7 @@ def water_hamiltonian(spec: ToyMoleculeSpec, decoupled: bool = False) -> WaterSy
             Term("kin_r2", (None, k2, None)),
             Term("bend_frozen", (None, None, inv_sq * duu)),
         ]
+        half = [terms[0], Term("bend_frozen", (None, None, inv_sq * duu / 2))]
     else:
         terms = [
             Term("kin_r1", (k1, None, None)),
@@ -623,6 +626,13 @@ def water_hamiltonian(spec: ToyMoleculeSpec, decoupled: bool = False) -> WaterSy
             Term("stretch_bend_1", (c1, np.diag(inv_r2), -mix / (2 * mu12))),
             Term("stretch_bend_2", (np.diag(inv_r1), c2, -mix / (2 * mu12))),
         ]
+        half = [
+            Term("kin_r1", (k1, None, None)),
+            Term("bend_r1", (np.diag(inv_r1**2 / (2 * mu1)), None, duu)),
+            Term("bend_cross", (np.diag(inv_r1), np.diag(inv_r2), -duu_u / (2 * mu12))),
+            Term("stretch_cross", (c1, c2, -np.diag(u) / (2 * mu12))),
+            Term("stretch_bend_1", (c1, np.diag(inv_r2), -mix / (2 * mu12))),
+        ]
     pes_parts = _water_pes_parts(spec, (r1, r2), bend)
     for i, v in pes_parts.items():
         factors = [None, None, None]
@@ -630,12 +640,7 @@ def water_hamiltonian(spec: ToyMoleculeSpec, decoupled: bool = False) -> WaterSy
         terms.append(Term(f"pes_{i}", tuple(factors)))
 
     # exchange-symmetric half: H = H_eff + SWAP H_eff SWAP (modes 1 and 2)
-    terms_eff = [
-        Term("kin_r1", (k1, None, None)),
-        Term("bend_r1", (np.diag(inv_r1**2 / (2 * mu1)), None, duu)),
-        Term("bend_cross", (np.diag(inv_r1), np.diag(inv_r2), -duu_u / (2 * mu12))),
-        Term("stretch_cross", (c1, c2, -np.diag(u) / (2 * mu12))),
-        Term("stretch_bend_1", (c1, np.diag(inv_r2), -mix / (2 * mu12))),
+    terms_eff = half + [
         Term("pes_0", (np.diag(pes_parts[0]), None, None)),
         Term("pes_2", (None, None, np.diag(pes_parts[2] / 2.0))),
     ]
@@ -688,6 +693,9 @@ def decoupled_reference_levels(spec: ToyMoleculeSpec, count: int) -> np.ndarray:
     The separable-product oracle: solve each mode's 1-D problem, form all
     level sums, sort, and return the lowest `count`.
     """
+    # imported here so that the table commands do not pay for scipy.linalg at start-up
+    from scipy.linalg import eigh
+
     system = water_hamiltonian(spec, decoupled=True)
     per_mode = []
     for i, n in enumerate(system.dims):

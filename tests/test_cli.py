@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -323,6 +327,34 @@ class TestMolham:
         assert code == 0
         fit = json.loads((tmp_path / "fit_scaling.json").read_text())
         assert 0 <= fit["fit"]["c1"] < 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["wht-analyze", "--synthetic", "harmonic", "--eta", "8"],
+        ["qrom-synth", "--synthetic", "harmonic", "--eta", "8"],
+        ["compare", "--synthetic", "harmonic", "--eta", "8"],
+        ["fit-scaling", "--input", "{csv}"],
+    ],
+)
+def test_table_commands_do_not_load_scipy(tmp_path, argv):
+    # a fresh process per command, so nothing imported by other tests counts
+    csv = tmp_path / "sweep.csv"
+    csv.write_text("eta,epsilon,tau\n8,0.01,100\n10,0.001,300\n12,0.01,700\n")
+    env = dict(os.environ)
+    src = str(Path(wht.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = (
+        "import sys; from whqrom.cli import main; code = main(sys.argv[1:]); "
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'); "
+        "sys.exit(f'exit {code}, scipy loaded: {loaded}' if code or loaded else 0)"
+    )
+    argv = ["--out", str(tmp_path)] + [a.format(csv=csv) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestFailureContract:

@@ -125,7 +125,8 @@ class TestWaterHamiltonian:
             replace(water_spec(n_r=4, n_theta=4), freqs_cm=(3700.0, 3600.0)),
         ],
     )
-    def test_effective_half_is_exact_iff_exchange_symmetric(self, spec):
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_effective_half_is_exact_iff_exchange_symmetric(self, spec, decoupled):
         # H_eff + SWAP H_eff SWAP - H in exact rationals of the float64
         # factors: 0 for every spec the predicate accepts, nonzero otherwise
         def exact_dense(terms, dims):
@@ -138,7 +139,7 @@ class TestWaterHamiltonian:
                 total = total + block
             return total
 
-        system = water_hamiltonian(spec)
+        system = water_hamiltonian(spec, decoupled=decoupled)
         dims = system.dims
         heff = exact_dense(system.terms_eff, dims)
         swap = np.arange(heff.shape[0]).reshape(dims).transpose(1, 0, 2).reshape(-1)
