@@ -71,9 +71,8 @@ def selectswap_cost(m: SelectSwapModel, f: SampledFunction | None = None) -> Cos
         raise RangeError(
             f"table shape ({f.eta}, {f.d}) does not match model ({m.eta}, {m.d})"
         )
-    toffoli = math.ceil((1 << m.eta) / m.lam) + 2 * m.d * m.lam
+    toffoli, t_depth = _lookup_counts(1 << m.eta, m.d, m.lam)
     t_count = 4 * toffoli
-    t_depth = math.ceil((1 << m.eta) / m.lam + math.log2(m.lam))
     qubits = 2 * m.eta + m.lam * m.d
     cnot = _hamming_payload(f) if f is not None else 0
     return CostReport(
@@ -87,8 +86,9 @@ def selectswap_cost(m: SelectSwapModel, f: SampledFunction | None = None) -> Cos
     )
 
 
-def _toffoli(n: int, d: int, lam: int) -> int:
-    return math.ceil(n / lam) + 2 * d * lam
+def _lookup_counts(n: int, d: int, lam: int) -> tuple[int, int]:
+    """Toffoli count ceil(n / lambda) + 2 d lambda and depth ceil(n / lambda + log2 lambda)."""
+    return math.ceil(n / lam) + 2 * d * lam, math.ceil(n / lam + math.log2(lam))
 
 
 def optimal_lookup(n_entries: int, d: int) -> tuple[int, int, int, int]:
@@ -107,10 +107,9 @@ def optimal_lookup(n_entries: int, d: int) -> tuple[int, int, int, int]:
     hi = min(1 << eta, int(4 * lam_star) + 8)
     lam = min(
         [*range(lo, hi + 1), 1, 1 << eta],
-        key=lambda lam: (_toffoli(n_entries, d, lam), lam),
+        key=lambda lam: (_lookup_counts(n_entries, d, lam)[0], lam),
     )
-    t_depth = math.ceil(n_entries / lam + math.log2(lam))
-    return lam, _toffoli(n_entries, d, lam), t_depth, lam * d + eta
+    return lam, *_lookup_counts(n_entries, d, lam), lam * d + eta
 
 
 def optimize_lambda(
@@ -128,7 +127,7 @@ def optimize_lambda_pow2(
     """Best power-of-two lambda, for the classic construction."""
     best = min(
         (1 << k for k in range(eta + 1)),
-        key=lambda lam: (_toffoli(1 << eta, d, lam), lam),
+        key=lambda lam: (_lookup_counts(1 << eta, d, lam)[0], lam),
     )
     return best, selectswap_cost(SelectSwapModel(eta=eta, d=d, lam=best), f)
 

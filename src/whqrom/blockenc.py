@@ -290,10 +290,38 @@ def _signed_sqrt_amplitudes(vals: np.ndarray, norm: float):
     return main, rest
 
 
-def _slots(a: SparseOracle):
-    """Rows j and columns f(j, l) of every structural slot (j, l), and 1/sqrt(rho)."""
-    rows = np.repeat(np.arange(a.n), a.rho)
-    return rows, a.columns.reshape(-1), 1.0 / math.sqrt(a.rho)
+def _two_isometry_encoding(a: SparseOracle, flags: int, place) -> BlockEncodingResult:
+    """The d-sparse skeleton U = u_chi^T u_psi, zeta = rho * max|A|.
+
+    Ancillas: ``flags`` flag qubits above an eta-qubit index register.
+    ``place(m, j, c, norm)`` gets every structural slot as row j and column
+    c = f(j, l) and returns the entries of psi and of chi, each a list of
+    (flag, index register, system register, amplitude); an entry lands in
+    column j, scaled by 1/sqrt(rho).
+    """
+    eta = a.eta
+    norm = a.max_abs
+    if norm == 0:
+        raise RangeError("zero matrix has a degenerate max-norm")
+    total_qubits = flags + 2 * eta
+    _check_dense_scale(total_qubits)
+    j = np.repeat(np.arange(a.n), a.rho)
+    c = a.columns.reshape(-1)
+    scale = 1.0 / math.sqrt(a.rho)
+    isometries = []
+    for entries in place(a.matrix, j, c, norm):
+        iso = np.zeros((1 << total_qubits, a.n))
+        for flag, p, s, amp in entries:
+            iso[((flag << eta | p) << eta) | s, j] = scale * amp
+        isometries.append(iso)
+    psi, chi = isometries
+    return BlockEncodingResult(
+        unitary=_complete_isometry(chi).T @ _complete_isometry(psi),
+        system_qubits=eta,
+        ancilla_qubits=flags + eta,
+        zeta=a.rho * norm,
+        operator=a.matrix.copy(),
+    )
 
 
 def dsparse_standard(a: SparseOracle) -> BlockEncodingResult:
@@ -303,37 +331,19 @@ def dsparse_standard(a: SparseOracle) -> BlockEncodingResult:
     zeta = rho * max|A|.  The target's sign is carried on the first flag's
     |0> branch, so any real matrix with a symmetric nonzero pattern works.
     """
-    n, rho, eta = a.n, a.rho, a.eta
-    norm = a.max_abs
-    if norm == 0:
-        raise RangeError("zero matrix has a degenerate max-norm")
-    total_qubits = 2 + 2 * eta
-    _check_dense_scale(total_qubits)
-    dim = 1 << total_qubits
-    m = a.matrix
-    psi = np.zeros((dim, n))
-    chi = np.zeros((dim, n))
-    j, c, scale = _slots(a)
 
-    def index(f1, f2, p, s):
-        return (((f1 << 1 | f2) << eta) | p) << eta | s
+    def place(m, j, c, norm):
+        # flag value 0b(f1 f2): f1 holds psi's |1> branch, f2 chi's
+        # column j of psi: index register p = f(j, l), system register j
+        alpha, beta = _signed_sqrt_amplitudes(m[c, j], norm)
+        # column k of chi: index register k, system register f(k, l)
+        mag, rest = _signed_sqrt_amplitudes(np.abs(m[j, c]), norm)
+        return (
+            [(0b00, c, j, alpha), (0b10, c, j, beta)],
+            [(0b00, j, c, mag), (0b01, j, c, rest)],
+        )
 
-    # column j of psi: index register p = f(j, l), system register j
-    alpha, beta = _signed_sqrt_amplitudes(m[c, j], norm)
-    psi[index(0, 0, c, j), j] = scale * alpha
-    psi[index(1, 0, c, j), j] = scale * beta
-    # column k of chi: index register k, system register f(k, l)
-    mag, rest = _signed_sqrt_amplitudes(np.abs(m[j, c]), norm)
-    chi[index(0, 0, j, c), j] = scale * mag
-    chi[index(0, 1, j, c), j] = scale * rest
-    unitary = _complete_isometry(chi).T @ _complete_isometry(psi)
-    return BlockEncodingResult(
-        unitary=unitary,
-        system_qubits=eta,
-        ancilla_qubits=2 + eta,
-        zeta=rho * norm,
-        operator=m.copy(),
-    )
+    return _two_isometry_encoding(a, 2, place)
 
 
 def dsparse_fused(a: SparseOracle) -> BlockEncodingResult:
@@ -343,35 +353,14 @@ def dsparse_fused(a: SparseOracle) -> BlockEncodingResult:
     branch of one flag, so only a = eta+1 ancillas are needed; zeta is the
     same rho * max|A| as the standard route and the sub-blocks agree.
     """
-    n, rho, eta = a.n, a.rho, a.eta
-    norm = a.max_abs
-    if norm == 0:
-        raise RangeError("zero matrix has a degenerate max-norm")
-    total_qubits = 1 + 2 * eta
-    _check_dense_scale(total_qubits)
-    dim = 1 << total_qubits
-    m = a.matrix
-    psi = np.zeros((dim, n))
-    chi = np.zeros((dim, n))
-    j, c, scale = _slots(a)
 
-    def index(flag, p, s):
-        return ((flag << eta) | p) << eta | s
+    def place(m, j, c, norm):
+        amp = m[c, j] / norm
+        # post-swap state: the index register holds the source column j, the
+        # system register the target row c = f(j, l)
+        return [(0, j, c, amp), (1, j, c, np.sqrt(1.0 - amp * amp))], [(0, c, j, 1.0)]
 
-    amp = m[c, j] / norm
-    # post-swap state: the index register holds the source column j, the
-    # system register the target row c = f(j, l)
-    psi[index(0, j, c), j] = scale * amp
-    psi[index(1, j, c), j] = scale * np.sqrt(1.0 - amp * amp)
-    chi[index(0, c, j), j] = scale
-    unitary = _complete_isometry(chi).T @ _complete_isometry(psi)
-    return BlockEncodingResult(
-        unitary=unitary,
-        system_qubits=eta,
-        ancilla_qubits=1 + eta,
-        zeta=rho * norm,
-        operator=m.copy(),
-    )
+    return _two_isometry_encoding(a, 1, place)
 
 
 def dsparse_fused_diagonal(diag: np.ndarray) -> BlockEncodingResult:
@@ -442,11 +431,28 @@ def exact_table_qrom(values: Sequence[int], eta: int, d: int) -> QromCircuit:
     )
 
 
-def _lcu_prepare(weights: np.ndarray, a_prime: int) -> np.ndarray:
-    """Dense orthogonal matrix whose first column is sqrt(weights / sum)."""
-    col = np.zeros(1 << a_prime)
-    col[: weights.shape[0]] = np.sqrt(weights / np.sum(weights))
-    return _complete_isometry(col[:, None]).toarray()
+def _lcu(weights: np.ndarray, blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """kron(G^T, 1) SELECT kron(G, 1) over ceil(log2 K) selector qubits (at least one).
+
+    G is orthogonal with first column sqrt(weights / sum); SELECT applies
+    block p on selector value p, and the identity past the K blocks.  Its
+    dtype follows the blocks, so real blocks give a real unitary.
+    """
+    k = len(blocks)
+    col = np.zeros(1 << max(1, (k - 1).bit_length()))
+    col[:k] = np.sqrt(weights / np.sum(weights))
+    g = _complete_isometry(col[:, None]).toarray()
+    m, dim = len(col), blocks[0].shape[0]
+    select = np.zeros((m, dim, m, dim), dtype=np.result_type(*blocks))
+    for p in range(m):
+        select[p, :, p] = blocks[p] if p < k else np.eye(dim)
+    select = select.reshape(m * dim, m * dim)
+    return np.kron(g.T, np.eye(dim)) @ select @ np.kron(g, np.eye(dim))
+
+
+def _lift(part: BlockEncodingResult, ancilla_qubits: int) -> np.ndarray:
+    """The part's unitary padded with idle ancillas up to ``ancilla_qubits``."""
+    return np.kron(np.eye(1 << (ancilla_qubits - part.ancilla_qubits)), part.unitary)
 
 
 def diag_no_rotation(
@@ -483,46 +489,33 @@ def diag_no_rotation(
     if not np.array_equal(table, vals):
         raise RangeError("qrom table disagrees with the requested diagonal")
 
-    a_prime = max(1, (d + 1 - 1).bit_length())
-    total = a_prime + d + eta
-    _check_dense_scale(total)
+    a_prime = max(1, d.bit_length())
+    _check_dense_scale(a_prime + d + eta)
     # LCU terms: identity with weight (2**d - 1)/2, then -Z_a with weight
     # 2**(d-a-1) for a = 1..d (a = 1 is the most significant data bit)
     weights = np.array(
         [(float(1 << d) - 1.0) / 2.0] + [2.0 ** (d - a - 1) for a in range(1, d + 1)]
     )
     dim_data = 1 << d
-    terms = [np.eye(dim_data)]
     y = np.arange(dim_data)
-    for a in range(1, d + 1):
-        bit = (y >> (d - a)) & 1
-        terms.append(np.diag(-np.where(bit == 1, -1.0, 1.0)))
-    g = _lcu_prepare(weights, a_prime)
-    dim_sel = 1 << a_prime
-    select = np.zeros((dim_sel * dim_data, dim_sel * dim_data))
-    for p in range(dim_sel):
-        block = terms[p] if p < len(terms) else np.eye(dim_data)
-        select[
-            p * dim_data : (p + 1) * dim_data, p * dim_data : (p + 1) * dim_data
-        ] = block
-    b_a = np.kron(g.conj().T, np.eye(dim_data)) @ select @ np.kron(g, np.eye(dim_data))
+    terms = [np.eye(dim_data)] + [
+        np.diag(np.where((y >> (d - a)) & 1, 1.0, -1.0)) for a in range(1, d + 1)
+    ]
+    b_a = _lcu(weights, terms)
 
-    # XOR-load permutation on (data, system)
-    n_sys = n
-    perm = np.zeros((dim_data * n_sys, dim_data * n_sys))
-    for x in range(n_sys):
-        for yv in range(dim_data):
-            perm[(yv ^ int(vals[x])) * n_sys + x, yv * n_sys + x] = 1.0
-    lifted = np.kron(b_a, np.eye(n_sys))
+    # XOR-load permutation on (data, system): |y>|x> -> |y ^ D_x>|x>
+    cols = np.arange(dim_data * n)
+    perm = np.zeros((dim_data * n, dim_data * n))
+    perm[((cols // n) ^ vals[cols % n]) * n + cols % n, cols] = 1.0
+    lifted = np.kron(b_a, np.eye(n))
     # reorder: b_a acts on (a', data); perm on (data, sys)
-    od = np.kron(np.eye(dim_sel), perm)
-    unitary = od.conj().T @ lifted @ od
-    zeta = float((1 << d) - 1)
+    od = np.kron(np.eye(1 << a_prime), perm)
+    unitary = od.T @ lifted @ od
     result = BlockEncodingResult(
         unitary=unitary,
         system_qubits=eta,
         ancilla_qubits=a_prime + d,
-        zeta=zeta,
+        zeta=float((1 << d) - 1),
         operator=np.diag(vals.astype(np.float64)),
     )
     _assert_diagonal_zeta_bound(result.zeta, vals.astype(np.float64))
@@ -541,33 +534,16 @@ def lcu_sum(parts: Sequence[BlockEncodingResult]) -> BlockEncodingResult:
     for p in parts:
         if p.system_qubits != sys_qubits:
             raise ShapeError("parts act on different system dimensions")
-    k = len(parts)
     a_max = max(p.ancilla_qubits for p in parts)
-    a_prime = max(1, (k - 1).bit_length())
-    total = a_prime + a_max + sys_qubits
-    _check_dense_scale(total)
-    dim_inner = 1 << (a_max + sys_qubits)
-    dim_sel = 1 << a_prime
-    select = np.zeros((dim_sel * dim_inner, dim_sel * dim_inner), dtype=complex)
-    for p in range(dim_sel):
-        if p < k:
-            pad = a_max - parts[p].ancilla_qubits
-            block = np.kron(np.eye(1 << pad), parts[p].unitary)
-        else:
-            block = np.eye(dim_inner)
-        select[
-            p * dim_inner : (p + 1) * dim_inner, p * dim_inner : (p + 1) * dim_inner
-        ] = block
+    a_prime = max(1, (len(parts) - 1).bit_length())
+    _check_dense_scale(a_prime + a_max + sys_qubits)
     weights = np.array([p.zeta for p in parts], dtype=np.float64)
-    g = _lcu_prepare(weights, a_prime)
-    unitary = np.kron(g.conj().T, np.eye(dim_inner)) @ select @ np.kron(g, np.eye(dim_inner))
-    operator = np.sum([p.operator for p in parts], axis=0)
     return BlockEncodingResult(
-        unitary=unitary,
+        unitary=_lcu(weights, [_lift(p, a_max) for p in parts]),
         system_qubits=sys_qubits,
         ancilla_qubits=a_prime + a_max,
         zeta=float(np.sum(weights)),
-        operator=operator,
+        operator=np.sum([p.operator for p in parts], axis=0),
     )
 
 
@@ -582,25 +558,16 @@ def product_be(left: BlockEncodingResult, right: BlockEncodingResult) -> BlockEn
         raise ShapeError("factors act on different system dimensions")
     sys_qubits = left.system_qubits
     a_m = max(left.ancilla_qubits, right.ancilla_qubits)
-    total = 1 + a_m + sys_qubits
-    _check_dense_scale(total)
+    _check_dense_scale(1 + a_m + sys_qubits)
     dim_inner = 1 << (a_m + sys_qubits)
-    n_sys = 1 << sys_qubits
-
-    def lifted(part):
-        pad = a_m - part.ancilla_qubits
-        return np.kron(np.eye(1 << pad), part.unitary)
-
-    ul, ur = lifted(left), lifted(right)
-    # X on the flag controlled on the a_m ancillas being all zero
-    cx = np.eye(2 * dim_inner)
-    for s in range(n_sys):
-        i0 = s            # flag 0, ancilla 0, system s
-        i1 = dim_inner + s
-        cx[i0, i0] = cx[i1, i1] = 0.0
-        cx[i0, i1] = cx[i1, i0] = 1.0
-    big_l = np.kron(np.eye(2), ul)
-    big_r = np.kron(np.eye(2), ur)
+    # X on the flag controlled on the a_m ancillas being all zero, as the
+    # identity's rows permuted by index
+    index = np.arange(2 * dim_inner)
+    cx = np.eye(2 * dim_inner)[
+        np.where(index % dim_inner < 1 << sys_qubits, index ^ dim_inner, index)
+    ]
+    big_l = np.kron(np.eye(2), _lift(left, a_m))
+    big_r = np.kron(np.eye(2), _lift(right, a_m))
     xf = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(dim_inner))
     unitary = xf @ big_l @ cx @ big_r
     return BlockEncodingResult(

@@ -163,6 +163,10 @@ def cmd_compare(args) -> dict:
         "rawPes": raw.to_json_dict(),
         "arccosRotation": angle_record.to_json_dict() if angle_record else None,
     }
+    if args.lam is not None:
+        model = baseline.SelectSwapModel(eta=f.eta, d=args.ss_digits, lam=args.lam)
+        report = baseline.selectswap_cost(model, f if args.ss_digits == f.d else None)
+        payload["pinnedLambda"] = {"lambda": args.lam, "selectSwap": report.to_json_dict()}
     return payload
 
 
@@ -178,9 +182,7 @@ def cmd_dvr_check(args) -> dict:
         )
     quad = dvr.gauss_quadrature(args.kind, args.n)
     transform = dvr.build_transform(quad)
-    gram_err = float(
-        np.max(np.abs(transform.matrix.T @ transform.matrix - np.eye(args.n)))
-    )
+    gram_err = transform.orthogonality_error
     moment_err = _quadrature_exactness_error(quad)
     if segment < 1:
         raise ConfigError(f"--segment must be at least 1, got {segment}")
@@ -520,8 +522,6 @@ def main(argv=None) -> int:
         if args.seed < 0:
             raise ConfigError(f"--seed must be nonnegative, got {args.seed}")
         payload = args.func(args)
-        if args.lam is not None and args.report == "compare":
-            payload["pinnedLambda"] = _pinned_lambda(args)
         written = _write_report(Path(args.out), args.report, payload, args.format)
         for path in written:
             print(path)
@@ -535,14 +535,6 @@ def main(argv=None) -> int:
     except (ConfigError, WhqromError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-
-
-def _pinned_lambda(args) -> dict:
-    f = _load_table(args)
-    model = baseline.SelectSwapModel(eta=f.eta, d=args.ss_digits, lam=args.lam)
-    f_ss = f if args.ss_digits == f.d else None
-    report = baseline.selectswap_cost(model, f_ss)
-    return {"lambda": args.lam, "selectSwap": report.to_json_dict()}
 
 
 if __name__ == "__main__":

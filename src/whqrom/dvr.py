@@ -168,12 +168,16 @@ def _orthonormal_polynomials(kind: QuadratureKind, n: int, x: np.ndarray) -> np.
 
 @dataclass(frozen=True)
 class DvrTransform:
-    """Orthogonal FBR-to-DVR matrix T with its quadrature and normalizers."""
+    """Orthogonal FBR-to-DVR matrix T with its quadrature and normalizers.
+
+    ``orthogonality_error`` is max|T^T T - I|, checked to be at most 1e-10.
+    """
 
     n: int
     matrix: np.ndarray = field(repr=False)
     quadrature: Quadrature = None
     normalizers: np.ndarray = field(default=None, repr=False)
+    orthogonality_error: float = field(init=False)
 
     def __post_init__(self):
         matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -181,9 +185,10 @@ class DvrTransform:
         object.__setattr__(self, "matrix", matrix)
         if matrix.shape != (self.n, self.n):
             raise ShapeError(f"expected a {self.n}x{self.n} matrix")
-        gram_err = np.max(np.abs(matrix.T @ matrix - np.eye(self.n)))
+        gram_err = float(np.max(np.abs(matrix.T @ matrix - np.eye(self.n))))
         if gram_err > 1e-10:
             raise RangeError(f"T^T T deviates from identity by {gram_err:.3e}")
+        object.__setattr__(self, "orthogonality_error", gram_err)
 
 
 def build_transform(q: Quadrature) -> DvrTransform:

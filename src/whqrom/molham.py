@@ -792,8 +792,9 @@ def norm_estimates(system: WaterSystem, strategy: str) -> NormEstimate:
 
     FBR_DVR multiplies the closed-form momentum constants by grid-sampled
     metric maxima per H_eff term and doubles for the CSWAP symmetry;
-    SEPARATE_DVR prices each H_eff term as one d-sparse DVR block;
-    FULL_DVR uses rho_H * max|H|; LCU_FBR brackets the Pauli L1 weight by
+    SEPARATE_DVR prices each H_eff term as one d-sparse DVR block and
+    doubles for the water form (a radial chain's terms_eff is H, priced
+    once); FULL_DVR uses rho_H * max|H|; LCU_FBR brackets the Pauli L1 weight by
     Frobenius traces and reports sqrt(Tr H^2) as the point value.
 
     FBR_DVR and SEPARATE_DVR price a water-form H as H_eff + SWAP H_eff
@@ -843,7 +844,8 @@ def norm_estimates(system: WaterSystem, strategy: str) -> NormEstimate:
         for term in system.terms_eff:
             rho = _term_sparsity(term, dims)
             entries.append((term.name, rho * _term_max_norm(term, dims), 1))
-        total = 2.0 * sum(z for _, z, _ in entries)
+        # a radial chain's terms_eff is H itself, so only the water form doubles
+        total = (2.0 if spec.has_bend else 1.0) * sum(z for _, z, _ in entries)
         return NormEstimate(strategy=strategy, terms=tuple(entries), total_au=total)
 
     # FBR_DVR: momentum factors in FBR (closed forms), metric samples in DVR

@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, RangeError, ScaleError, ShapeError, ToleranceError
-from .wht import TruncatedSpectrum, _butterfly
+from .wht import MAX_ETA, TruncatedSpectrum, _butterfly
 
 __all__ = [
     "Ordering",
@@ -541,9 +541,10 @@ def pair_cancel(circuit: QromCircuit, spec: TruncatedSpectrum) -> QromCircuit:
 # ---------------------------------------------------------------------------
 
 
-#: Largest input width :func:`simulate_table` accepts; each of its working
-#: arrays holds 2**eta int64 entries (128 MiB at this limit).
-MAX_TABLE_ETA = 24
+#: Largest input width :func:`simulate_table` accepts, the table limit
+#: :data:`whqrom.wht.MAX_ETA`; each of its working arrays holds 2**eta int64
+#: entries (128 MiB at this limit).
+MAX_TABLE_ETA = MAX_ETA
 
 
 def simulate(circuit: QromCircuit, x: int, y: int) -> int:

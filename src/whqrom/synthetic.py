@@ -20,6 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, RangeError, ScaleError
+from .wht import MAX_ETA  # the largest eta a synthetic table is sampled at
 
 __all__ = [
     "SyntheticPes",
@@ -31,11 +32,6 @@ __all__ = [
     "make_pes",
     "PES_GENERATORS",
 ]
-
-
-#: Largest address width a synthetic table may be sampled at (2**24 points,
-#: 128 MiB per float64 array).
-MAX_ETA = 24
 
 
 @dataclass(frozen=True)

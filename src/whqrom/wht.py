@@ -43,7 +43,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ParseError, RangeError, ShapeError
+from .errors import ParseError, RangeError, ScaleError, ShapeError
 
 __all__ = [
     "SampledFunction",
@@ -58,7 +58,13 @@ __all__ = [
     "read_theta_binary",
     "read_theta_csv",
     "read_theta",
+    "MAX_ETA",
 ]
+
+#: Largest address width of a table: 2**24 samples, 128 MiB per float64 or
+#: int64 array.  Table inputs, :func:`quantize` and the synthetic samplers
+#: refuse a larger one with :class:`ScaleError` before allocating it.
+MAX_ETA = 24
 
 #: Widest eta + d for which the integer butterfly provably fits in int64.
 MAX_TOTAL_BITS = 62
@@ -223,6 +229,8 @@ def quantize(theta_samples: Sequence[float], d: int) -> SampledFunction:
     if n & (n - 1):
         raise ShapeError(f"sample count {n} is not a power of two")
     eta = n.bit_length() - 1
+    if eta > MAX_ETA:
+        raise ScaleError(f"eta = {eta} exceeds the limit MAX_ETA = {MAX_ETA}")
     _check_eta_d(eta, d)
     if theta.min() < -1.0 or theta.max() >= 1.0:
         raise RangeError("theta samples must lie in [-1, 1)")
@@ -455,8 +463,12 @@ def truncation_error_curve(f: SampledFunction, upto: int | None = None) -> np.nd
 
 def read_theta_binary(path) -> np.ndarray:
     """Little-endian float64 samples; the length must be a power of two and
-    every sample finite."""
+    every sample finite.  A file of more than 2**MAX_ETA samples is refused
+    from its size, before it is read."""
     try:
+        size = Path(path).stat().st_size
+        if size > 8 << MAX_ETA:
+            raise ScaleError(f"{path}: {size} bytes exceed 2**MAX_ETA = {1 << MAX_ETA} samples")
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ParseError(f"{path}: {exc}") from exc
@@ -473,8 +485,10 @@ def read_theta_binary(path) -> np.ndarray:
 
 def read_theta_csv(path) -> np.ndarray:
     """One finite sample per line; blank lines ignored; errors carry line
-    numbers."""
+    numbers.  More than 2**MAX_ETA samples are refused at the first line
+    past the limit."""
     values = []
+    limit = 1 << MAX_ETA
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -483,6 +497,8 @@ def read_theta_csv(path) -> np.ndarray:
         for lineno, row in enumerate(_csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
+            if len(values) == limit:
+                raise ScaleError(f"{path}:{lineno}: more than 2**MAX_ETA = {limit} samples")
             if len(row) != 1:
                 raise ParseError(f"{path}:{lineno}: expected one value per line")
             try:

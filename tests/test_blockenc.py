@@ -598,3 +598,232 @@ class TestZetaLowerBound:
         qrom = exact_table_qrom(vals, eta=2, d=3)
         result = diag_no_rotation(vals, qrom, d=3)
         assert result.zeta >= max(vals)
+
+
+# ---------------------------------------------------------------------------
+# The constructions written out one by one, each with its own SELECT loop,
+# isometry fill and permutation loop: oracles for the shared LCU builder,
+# the shared d-sparse skeleton and the index-built permutations
+# ---------------------------------------------------------------------------
+
+
+def inline_lcu_prepare(weights, a_prime):
+    col = np.zeros(1 << a_prime)
+    col[: weights.shape[0]] = np.sqrt(weights / np.sum(weights))
+    return blockenc._complete_isometry(col[:, None]).toarray()
+
+
+def inline_lcu_sum(parts, dtype=complex):
+    sys_qubits = parts[0].system_qubits
+    k = len(parts)
+    a_max = max(p.ancilla_qubits for p in parts)
+    a_prime = max(1, (k - 1).bit_length())
+    dim_inner = 1 << (a_max + sys_qubits)
+    dim_sel = 1 << a_prime
+    select = np.zeros((dim_sel * dim_inner, dim_sel * dim_inner), dtype=dtype)
+    for p in range(dim_sel):
+        if p < k:
+            pad = a_max - parts[p].ancilla_qubits
+            block = np.kron(np.eye(1 << pad), parts[p].unitary)
+        else:
+            block = np.eye(dim_inner)
+        select[p * dim_inner : (p + 1) * dim_inner, p * dim_inner : (p + 1) * dim_inner] = block
+    weights = np.array([p.zeta for p in parts], dtype=np.float64)
+    g = inline_lcu_prepare(weights, a_prime)
+    unitary = np.kron(g.conj().T, np.eye(dim_inner)) @ select @ np.kron(g, np.eye(dim_inner))
+    return BlockEncodingResult(
+        unitary=unitary,
+        system_qubits=sys_qubits,
+        ancilla_qubits=a_prime + a_max,
+        zeta=float(np.sum(weights)),
+        operator=np.sum([p.operator for p in parts], axis=0),
+    )
+
+
+def inline_diag_no_rotation(values, d):
+    vals = np.asarray(values, dtype=np.int64)
+    n_sys = vals.shape[0]
+    eta = n_sys.bit_length() - 1
+    a_prime = max(1, (d + 1 - 1).bit_length())
+    weights = np.array(
+        [(float(1 << d) - 1.0) / 2.0] + [2.0 ** (d - a - 1) for a in range(1, d + 1)]
+    )
+    dim_data = 1 << d
+    terms = [np.eye(dim_data)]
+    y = np.arange(dim_data)
+    for a in range(1, d + 1):
+        bit = (y >> (d - a)) & 1
+        terms.append(np.diag(-np.where(bit == 1, -1.0, 1.0)))
+    g = inline_lcu_prepare(weights, a_prime)
+    dim_sel = 1 << a_prime
+    select = np.zeros((dim_sel * dim_data, dim_sel * dim_data))
+    for p in range(dim_sel):
+        block = terms[p] if p < len(terms) else np.eye(dim_data)
+        select[p * dim_data : (p + 1) * dim_data, p * dim_data : (p + 1) * dim_data] = block
+    b_a = np.kron(g.conj().T, np.eye(dim_data)) @ select @ np.kron(g, np.eye(dim_data))
+    perm = np.zeros((dim_data * n_sys, dim_data * n_sys))
+    for x in range(n_sys):
+        for yv in range(dim_data):
+            perm[(yv ^ int(vals[x])) * n_sys + x, yv * n_sys + x] = 1.0
+    lifted = np.kron(b_a, np.eye(n_sys))
+    od = np.kron(np.eye(dim_sel), perm)
+    return BlockEncodingResult(
+        unitary=od.conj().T @ lifted @ od,
+        system_qubits=eta,
+        ancilla_qubits=a_prime + d,
+        zeta=float((1 << d) - 1),
+        operator=np.diag(vals.astype(np.float64)),
+    )
+
+
+def inline_product_be(left, right):
+    sys_qubits = left.system_qubits
+    a_m = max(left.ancilla_qubits, right.ancilla_qubits)
+    dim_inner = 1 << (a_m + sys_qubits)
+
+    def lifted(part):
+        return np.kron(np.eye(1 << (a_m - part.ancilla_qubits)), part.unitary)
+
+    cx = np.eye(2 * dim_inner)
+    for s in range(1 << sys_qubits):
+        i0, i1 = s, dim_inner + s
+        cx[i0, i0] = cx[i1, i1] = 0.0
+        cx[i0, i1] = cx[i1, i0] = 1.0
+    big_l = np.kron(np.eye(2), lifted(left))
+    big_r = np.kron(np.eye(2), lifted(right))
+    xf = np.kron(np.array([[0.0, 1.0], [1.0, 0.0]]), np.eye(dim_inner))
+    return BlockEncodingResult(
+        unitary=xf @ big_l @ cx @ big_r,
+        system_qubits=sys_qubits,
+        ancilla_qubits=1 + a_m,
+        zeta=left.zeta * right.zeta,
+        operator=np.asarray(left.operator) @ np.asarray(right.operator),
+    )
+
+
+def _inline_slots(a):
+    return np.repeat(np.arange(a.n), a.rho), a.columns.reshape(-1), 1.0 / math.sqrt(a.rho)
+
+
+def _inline_result(a, psi, chi, ancilla_qubits):
+    return BlockEncodingResult(
+        unitary=blockenc._complete_isometry(chi).T @ blockenc._complete_isometry(psi),
+        system_qubits=a.eta,
+        ancilla_qubits=ancilla_qubits,
+        zeta=a.rho * a.max_abs,
+        operator=a.matrix.copy(),
+    )
+
+
+def inline_dsparse_standard(a):
+    n, eta, norm, m = a.n, a.eta, a.max_abs, a.matrix
+    dim = 1 << (2 + 2 * eta)
+    psi, chi = np.zeros((dim, n)), np.zeros((dim, n))
+    j, c, scale = _inline_slots(a)
+
+    def index(f1, f2, p, s):
+        return (((f1 << 1 | f2) << eta) | p) << eta | s
+
+    alpha, beta = blockenc._signed_sqrt_amplitudes(m[c, j], norm)
+    psi[index(0, 0, c, j), j] = scale * alpha
+    psi[index(1, 0, c, j), j] = scale * beta
+    mag, rest = blockenc._signed_sqrt_amplitudes(np.abs(m[j, c]), norm)
+    chi[index(0, 0, j, c), j] = scale * mag
+    chi[index(0, 1, j, c), j] = scale * rest
+    return _inline_result(a, psi, chi, 2 + eta)
+
+
+def inline_dsparse_fused(a):
+    n, eta, norm, m = a.n, a.eta, a.max_abs, a.matrix
+    dim = 1 << (1 + 2 * eta)
+    psi, chi = np.zeros((dim, n)), np.zeros((dim, n))
+    j, c, scale = _inline_slots(a)
+
+    def index(flag, p, s):
+        return ((flag << eta) | p) << eta | s
+
+    amp = m[c, j] / norm
+    psi[index(0, j, c), j] = scale * amp
+    psi[index(1, j, c), j] = scale * np.sqrt(1.0 - amp * amp)
+    chi[index(0, c, j), j] = scale
+    return _inline_result(a, psi, chi, 1 + eta)
+
+
+def assert_same_encoding(result, oracle):
+    assert np.array_equal(result.unitary, oracle.unitary)
+    assert result.residual == oracle.residual
+    assert result.unitarity_deviation == oracle.unitarity_deviation
+    assert (result.system_qubits, result.ancilla_qubits, result.zeta) == (
+        oracle.system_qubits,
+        oracle.ancilla_qubits,
+        oracle.zeta,
+    )
+    assert np.array_equal(result.operator, oracle.operator)
+
+
+def with_phased_ancilla_branch(part, phase):
+    """The same encoding with a phase on every ancilla-nonzero column: a complex unitary."""
+    n = 1 << part.system_qubits
+    phases = np.full(part.unitary.shape[0], np.exp(1j * phase))
+    phases[:n] = 1.0
+    return BlockEncodingResult(
+        unitary=part.unitary * phases,
+        system_qubits=part.system_qubits,
+        ancilla_qubits=part.ancilla_qubits,
+        zeta=part.zeta,
+        operator=part.operator,
+    )
+
+
+def _lcu_cases():
+    rng = np.random.default_rng(61)
+    diag = [dsparse_fused_diagonal(rng.uniform(-1, 1, size=8)) for _ in range(3)]
+    fused = dsparse_fused(SparseOracle.from_dense(full_rows(rng, 8, 2), rho=2))
+    standard = dsparse_standard(SparseOracle.from_dense(full_rows(rng, 8, 1), rho=1))
+    return {
+        "one part": diag[:1],
+        "two parts": diag[:2],
+        "three parts": diag,
+        "unequal ancilla widths": [diag[0], fused, standard],
+        "a complex part": [diag[0], with_phased_ancilla_branch(diag[1], 0.7)],
+    }
+
+
+class TestAgainstInlineConstructions:
+    @pytest.mark.parametrize("case", list(_lcu_cases()))
+    def test_lcu_sum(self, case):
+        parts = _lcu_cases()[case]
+        result = lcu_sum(parts)
+        dtype = np.result_type(*(p.unitary for p in parts))
+        assert result.unitary.dtype == dtype
+        assert_same_encoding(result, inline_lcu_sum(parts, dtype))
+        # always-complex arithmetic: real and complex BLAS products may round
+        # an entry summed from more than two nonzero terms differently
+        always_complex = inline_lcu_sum(parts)
+        assert np.max(np.abs(result.unitary - always_complex.unitary)) <= 2.0**-52
+        assert abs(result.residual - always_complex.residual) <= 2.0**-52
+        assert abs(result.unitarity_deviation - always_complex.unitarity_deviation) <= 2.0**-52
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_diag_no_rotation(self, d):
+        table = list(np.random.default_rng(67 + d).integers(0, 1 << d, size=4))
+        result = diag_no_rotation(table, exact_table_qrom(table, eta=2, d=d), d=d)
+        assert_same_encoding(result, inline_diag_no_rotation(table, d))
+
+    def test_product_with_unequal_ancilla_widths(self):
+        rng = np.random.default_rng(71)
+        left = dsparse_fused(SparseOracle.from_dense(full_rows(rng, 4, 3), rho=3))
+        right = dsparse_fused_diagonal(rng.uniform(-1, 1, size=4))
+        for a, b in ((left, right), (right, left), (right, right)):
+            assert_same_encoding(product_be(a, b), inline_product_be(a, b))
+
+    @pytest.mark.parametrize(
+        "build, oracle",
+        [(dsparse_standard, inline_dsparse_standard), (dsparse_fused, inline_dsparse_fused)],
+    )
+    @pytest.mark.parametrize("pattern", [full_rows, padded_rows])
+    @pytest.mark.parametrize("rho", [1, 3])
+    @pytest.mark.parametrize("n", [4, 8, 16])
+    def test_dsparse(self, build, oracle, pattern, rho, n):
+        a = SparseOracle.from_dense(pattern(np.random.default_rng(3 * n + rho), n, rho), rho=rho)
+        assert_same_encoding(build(a), oracle(a))

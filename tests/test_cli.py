@@ -27,6 +27,13 @@ class TestWhtAnalyze:
         assert report["chosenK"] == 0
         assert report["errorAtK"] == 0.0
 
+    def test_oversized_input_is_a_config_error(self, tmp_path):
+        path = tmp_path / "huge.f64"
+        path.touch()
+        os.truncate(path, 8 << (wht.MAX_ETA + 1))  # sparse: takes no disk space
+        assert run(tmp_path, "wht-analyze", "--input", str(path)) == 2
+        assert not (tmp_path / "wht_analyze.json").exists()
+
     def test_synthetic_matches_library(self, tmp_path):
         code = run(
             tmp_path,
@@ -115,6 +122,23 @@ class TestCompare:
         record = baseline.compare(f, 2.0**-10, d_ss=15)
         assert report["rawPes"]["whQrom"] == record.wh.to_json_dict()
         assert report["rawPes"]["selectSwap"] == record.ss.to_json_dict()
+
+    def test_pinned_lambda_reads_the_table_once(self, tmp_path, monkeypatch):
+        from whqrom import cli
+
+        loads = []
+        load_table = cli._load_table
+        monkeypatch.setattr(cli, "_load_table", lambda args: loads.append(1) or load_table(args))
+        argv = ["--lambda", "4", "compare", "--synthetic", "morse", "--eta", "8"]
+        assert run(tmp_path, *argv) == 0
+        assert len(loads) == 1
+        report = json.loads((tmp_path / "compare.json").read_text())
+        f = load_table(cli.build_parser().parse_args(argv))
+        model = baseline.SelectSwapModel(eta=8, d=15, lam=4)
+        assert report["pinnedLambda"] == {
+            "lambda": 4,
+            "selectSwap": baseline.selectswap_cost(model, f).to_json_dict(),
+        }
 
     def test_degenerate_constant_flags_infinity(self, tmp_path):
         path = tmp_path / "flat.f64"

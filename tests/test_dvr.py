@@ -104,6 +104,7 @@ class TestTransform:
         t = build_transform(gauss_quadrature(kind, n))
         gram = t.matrix.T @ t.matrix
         assert np.max(np.abs(gram - np.eye(n))) < 1e-10
+        assert t.orthogonality_error == float(np.max(np.abs(gram - np.eye(n))))
 
     def test_constant_potential_is_scaled_identity(self):
         t = build_transform(gauss_quadrature("legendre", 6))

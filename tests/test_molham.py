@@ -411,6 +411,17 @@ class TestNormEstimates:
             weighted = sum(z * c for _, z, c in est.terms)
             assert est.total_au == pytest.approx(2.0 * weighted)
 
+    @pytest.mark.parametrize("coupling_mass_da", [2.0, math.inf])
+    def test_radial_chain_prices_each_term_of_h_once(self, coupling_mass_da):
+        # a chain has no exchange reduction: its terms_eff is H itself
+        spec = ToyMoleculeSpec(basis_sizes=(8, 8), coupling_mass_da=coupling_mass_da, **_CHAIN)
+        system = water_hamiltonian(spec)
+        dims = system.dims
+        once = sum(
+            molham._term_sparsity(t, dims) * molham._term_max_norm(t, dims) for t in system.terms
+        )
+        assert norm_estimates(system, Strategy.SEPARATE_DVR).total_au == once
+
 
 class TestStrategyCost:
     def test_water_table_reproduction_band(self):

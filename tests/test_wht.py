@@ -1,10 +1,13 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
 from whqrom import wht
-from whqrom.errors import ParseError, RangeError, ShapeError
+from whqrom.errors import ParseError, RangeError, ScaleError, ShapeError
 from whqrom.wht import (
     SampledFunction,
     quantize,
@@ -64,6 +67,12 @@ class TestQuantize:
     def test_width_guard(self):
         with pytest.raises(RangeError):
             quantize(np.zeros(2**4), d=60)
+
+    def test_eta_limit(self, monkeypatch):
+        monkeypatch.setattr(wht, "MAX_ETA", 3)
+        assert quantize(np.zeros(2**3), d=4).eta == 3
+        with pytest.raises(ScaleError, match="MAX_ETA = 3"):
+            quantize(np.zeros(2**4), d=4)
 
 
 class TestForward:
@@ -639,3 +648,33 @@ class TestFileIngestion:
         path.write_bytes(b"\x00" * 24)  # 3 floats, not a power of two
         with pytest.raises(ParseError):
             read_theta_binary(path)
+
+    def test_oversized_binary_refused_before_reading(self, tmp_path, monkeypatch):
+        path = tmp_path / "huge.f64"
+        path.touch()
+        os.truncate(path, 8 << (wht.MAX_ETA + 1))  # sparse: takes no disk space
+
+        def spy(self):
+            raise AssertionError(f"{self} was read")
+
+        monkeypatch.setattr(Path, "read_bytes", spy)
+        with pytest.raises(ScaleError, match="MAX_ETA"):
+            read_theta_binary(path)
+
+    def test_binary_limit_is_inclusive(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wht, "MAX_ETA", 2)
+        path = tmp_path / "t.f64"
+        path.write_bytes(np.zeros(4).astype("<f8").tobytes())
+        assert read_theta_binary(path).size == 4
+        path.write_bytes(np.zeros(8).astype("<f8").tobytes())
+        with pytest.raises(ScaleError, match="2\\*\\*MAX_ETA = 4 samples"):
+            read_theta_binary(path)
+
+    def test_csv_refused_at_the_first_line_past_the_limit(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(wht, "MAX_ETA", 2)
+        path = tmp_path / "t.csv"
+        path.write_text("0.5\n\n0.25\n0.0\n-0.5\n")
+        assert read_theta_csv(path).size == 4
+        path.write_text("0.5\n\n0.25\n0.0\n-0.5\n0.1\nnot-a-number\n")
+        with pytest.raises(ScaleError, match=":6: more than 2\\*\\*MAX_ETA = 4 samples"):
+            read_theta_csv(path)
