@@ -149,10 +149,10 @@ class WalshSpectrum:
 class TruncatedSpectrum:
     """A spectrum restricted to its k largest-magnitude masks.
 
-    ``order`` is a read-only int64 array listing all masks sorted by
-    (-|coeff|, z); ``support`` is the first k of them.  Ties in magnitude
-    are broken toward the smaller mask so repeated runs synthesize
-    identical circuits.
+    ``order`` is a read-only int64 array holding the first k or more masks
+    of the order (-|coeff|, z); ``support`` is the first k of them, and
+    readers never look past them.  Ties in magnitude are broken toward the
+    smaller mask so repeated runs synthesize identical circuits.
     """
 
     base: WalshSpectrum
@@ -282,9 +282,20 @@ def diag_error(f: SampledFunction | Sequence, g, d: int | None = None) -> float:
     return _phase_distance(fv - gv, d)
 
 
-def _truncation_order(coeffs: np.ndarray) -> np.ndarray:
-    """Masks sorted by descending |coeff|, ties toward the smaller mask."""
-    return np.lexsort((np.arange(coeffs.shape[0]), -np.abs(coeffs)))
+#: Masks the truncation search sorts first, doubled while landings pass them.
+_PREFIX = 1024
+
+
+def _truncation_order(coeffs: np.ndarray, count: int) -> np.ndarray:
+    """The first count (>= 1) masks by descending |coeff|, ties toward the
+    smaller mask, and every further mask tied with the last of them."""
+    mag = np.abs(coeffs)
+    kth = max(0, mag.shape[0] - count)
+    mag.partition(kth)
+    threshold = mag[kth]
+    # ascending masks, so a stable sort by magnitude keeps the tie rule
+    top = np.flatnonzero(np.abs(coeffs, out=mag) >= threshold)
+    return top[np.argsort(-mag[top], kind="stable")]
 
 
 def _sign_rows(row: np.ndarray, z: np.ndarray, bits: int) -> np.ndarray:
@@ -323,7 +334,6 @@ class _IncrementalScan:
         self.num &= self.period - 1
         self.dist = np.empty_like(self.num)
         self.dist_min = 0
-        self.x = np.arange(f.n, dtype=np.uint64)
         self.k = 0
 
     def error(self) -> float:
@@ -352,23 +362,23 @@ class _IncrementalScan:
     def advance(self, count: int = 1) -> None:
         """Retain the next count coefficients: num -= sum_j (-1)**<x,z_j> c_j.
 
-        One is a pass over the state, cheaper than a 1-term product."""
+        One is c (-1)**<x,z> built by doubling, cheaper than a 1-term product."""
         z = self.order[self.k : self.k + count]
         c = self.coeffs[z] & (self.period - 1)
         self.k += count
         if count == 1:
-            parity = np.bitwise_count(self.x & np.uint64(z[0]))
-            parity &= 1
-            self.num -= int(c[0])
-            self.num += parity * np.int64(2 * int(c[0]))
+            term, mask = self.dist, int(z[0])  # dist is scratch until the next error()
+            term[0] = c[0]
+            for i in range(self.f.eta):
+                np.multiply(term[: 1 << i], -1 if mask >> i & 1 else 1, out=term[1 << i : 2 << i])
+            self.num -= term
         else:
             low, width = self.f.eta // 2, 52 - count.bit_length()
             s_lo = _sign_rows(np.ones(count), z & (1 << low) - 1, low).T
-            prod = np.empty((self.f.n >> low, 1 << low))
+            prod = self.dist.view(np.float64).reshape(-1, 1 << low)  # dist's buffer
             for shift in range(0, self.period.bit_length() - 1, width):
                 limb = (c >> shift & (1 << width) - 1).astype(np.float64)
                 np.matmul(_sign_rows(limb, z >> low, self.f.eta - low), s_lo, out=prod)
-                # dist is scratch until the next error()
                 np.copyto(self.dist, prod.reshape(-1), casting="unsafe")
                 self.dist <<= shift
                 self.num -= self.dist
@@ -397,37 +407,40 @@ def minimal_truncation(f: SampledFunction, epsilon: float) -> TruncatedSpectrum:
     the float sine test; and the float64 cumulative sums are held to a
     margin of 2 + 1e-9 2**b plus their own worst-case rounding.
 
-    A landing at most R = 32 eta terms ahead is one separable product, a
-    farther one a ``_rebuild``.  Medians, one BLAS thread, 2-vCPU Xeon: the
-    product of 16 / 32 / 64 eta terms against the rebuild is 0.21 / 0.29 /
-    0.83 ms against 0.23 ms at eta 12, 1.2 / 2.9 / 5.3 against 2.6 at 16,
-    4.2 / 9.6 / 13 against 14 at 18 and 14 / 28 / 64 against 54 at 20.
+    The order is read only up to the landings: the search sorts a prefix of
+    1024 masks, doubles it while a landing lies past it, and returns it as
+    ``order``; the margin takes sum |c| unsorted.  A landing at most R = 32
+    eta terms ahead is one separable product, a farther one a ``_rebuild``.
+    ``BENCH_2.json`` holds the traced search times.
     """
     if not epsilon > 0:
         raise RangeError(f"epsilon must be positive, got {epsilon}")
     spectrum = wht_forward(f)
     coeffs = spectrum.coeffs
-    order = _truncation_order(coeffs)
     nonzero = int(np.count_nonzero(coeffs))
-    scan = _IncrementalScan(f, coeffs, order)
+    scan = _IncrementalScan(f, coeffs, np.zeros(0, dtype=np.int64))
+    cum = np.zeros(1)  # over the sorted prefix, empty until the first landing
     period = scan.period
     quarter = period >> 2
-    cum = np.zeros(nonzero + 1)
-    np.cumsum(np.abs(coeffs[order[:nonzero]]), dtype=np.float64, out=cum[1:])
     half_width = period * math.asin(min(1.0, epsilon / 2 + 2.0**-50)) / (2 * math.pi)
-    margin = 2.0 + 1e-9 * period + 2.0**-52 * nonzero * cum[-1]
+    margin = 2.0 + 1e-9 * period + 2.0**-52 * nonzero * np.abs(coeffs).sum(dtype=np.float64)
     while scan.error() >= epsilon:
         # scan.dist is how far an address sits from the point midway between
         # the arc centres, so the farthest address sits quarter - dist_min
         # from its nearer centre
-        reach = quarter - scan.dist_min - half_width - margin
-        land = int(np.searchsorted(cum, cum[scan.k] + reach, side="left"))
+        target = cum[scan.k] + quarter - scan.dist_min - half_width - margin
+        while len(cum) <= nonzero and (scan.k + 1 == len(cum) or cum[-1] < target):
+            # the landing lies past the prefix: double it (cum's old part keeps its bits)
+            scan.order = _truncation_order(coeffs, min(nonzero, max(_PREFIX, 2 * len(cum))))
+            cum = np.zeros(min(len(scan.order), nonzero) + 1)
+            np.cumsum(np.abs(coeffs[scan.order[: len(cum) - 1]]), dtype=np.float64, out=cum[1:])
+        land = int(np.searchsorted(cum, target, side="left"))
         land = min(nonzero, max(scan.k + 1, land))
         if land - scan.k > 32 * f.eta:
             _rebuild(scan, spectrum, land)
         else:
             scan.advance(land - scan.k)
-    return TruncatedSpectrum(base=spectrum, k=scan.k, order=order)
+    return TruncatedSpectrum(base=spectrum, k=scan.k, order=scan.order)
 
 
 def _rebuild(scan: _IncrementalScan, spectrum: WalshSpectrum, k: int) -> None:
@@ -449,10 +462,9 @@ def truncation_error_curve(f: SampledFunction, upto: int | None = None) -> np.nd
     2**eta), so keep upto modest for large eta.
     """
     spectrum = wht_forward(f)
-    order = _truncation_order(spectrum.coeffs)
     if upto is None:
         upto = f.n
-    scan = _IncrementalScan(f, spectrum.coeffs, order)
+    scan = _IncrementalScan(f, spectrum.coeffs, _truncation_order(spectrum.coeffs, upto + 1))
     errors = np.empty(upto + 1, dtype=np.float64)
     for k in range(upto + 1):
         errors[k] = scan.error()
@@ -486,8 +498,8 @@ def read_theta_binary(path) -> np.ndarray:
 def read_theta_csv(path) -> np.ndarray:
     """One finite sample per line; blank lines ignored; errors carry line
     numbers.  More than 2**MAX_ETA samples are refused at the first line
-    past the limit."""
-    values = []
+    past the limit.  The float64 array doubles as samples are counted."""
+    data, count = np.empty(1024), 0
     limit = 1 << MAX_ETA
     try:
         fh = open(path, newline="")
@@ -497,7 +509,7 @@ def read_theta_csv(path) -> np.ndarray:
         for lineno, row in enumerate(_csv.reader(fh), start=1):
             if not row or (len(row) == 1 and not row[0].strip()):
                 continue
-            if len(values) == limit:
+            if count == limit:
                 raise ScaleError(f"{path}:{lineno}: more than 2**MAX_ETA = {limit} samples")
             if len(row) != 1:
                 raise ParseError(f"{path}:{lineno}: expected one value per line")
@@ -507,11 +519,13 @@ def read_theta_csv(path) -> np.ndarray:
                 raise ParseError(f"{path}:{lineno}: {exc}") from exc
             if not math.isfinite(value):
                 raise ParseError(f"{path}:{lineno}: sample {row[0]!r} is not finite")
-            values.append(value)
-    data = np.asarray(values, dtype=np.float64)
-    if data.size == 0 or data.size & (data.size - 1):
-        raise ParseError(f"{path}: sample count {data.size} is not a power of two")
-    return data
+            if count == data.size:
+                data = np.resize(data, count + min(count, limit - count))
+            data[count] = value
+            count += 1
+    if count == 0 or count & (count - 1):
+        raise ParseError(f"{path}: sample count {count} is not a power of two")
+    return data[:count]
 
 
 def read_theta(path, fmt: str | None = None) -> np.ndarray:

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -6,7 +7,7 @@ import pytest
 from fractions import Fraction
 from hypothesis import given, settings, strategies as st
 
-from whqrom import wht
+from whqrom import synthetic, wht
 from whqrom.errors import ParseError, RangeError, ScaleError, ShapeError
 from whqrom.wht import (
     SampledFunction,
@@ -26,6 +27,11 @@ def random_function(rng, eta, d):
     half = 1 << (d - 1)
     values = rng.integers(-half, half, size=1 << eta, dtype=np.int64)
     return SampledFunction(eta=eta, d=d, values=values)
+
+
+def full_order(coeffs):
+    """Every mask sorted by (-|coeff|, mask): the truncation order's oracle."""
+    return np.lexsort((np.arange(len(coeffs)), -np.abs(coeffs)))
 
 
 def naive_wht(values):
@@ -287,7 +293,8 @@ class TestMinimalTruncation:
         rng = np.random.default_rng(33)
         f = random_function(rng, eta=6, d=5)
         trunc = minimal_truncation(f, epsilon=0.5)
-        full = TruncatedSpectrum(base=trunc.base, k=f.n, order=trunc.order)
+        order = full_order(trunc.base.coeffs)
+        full = TruncatedSpectrum(base=trunc.base, k=f.n, order=order)
         assert full.error(f) == 0.0
 
     def test_tie_break_smaller_mask_first(self):
@@ -425,13 +432,83 @@ def test_truncation_retains_largest_magnitudes(eta, d, seed, frac):
     rng = np.random.default_rng(seed)
     f = random_function(rng, eta, d)
     trunc = minimal_truncation(f, epsilon=1e-300)
-    k = int(frac * len(trunc.order))
-    clipped = type(trunc)(base=trunc.base, k=k, order=trunc.order)
+    full = full_order(trunc.base.coeffs)
+    assert np.array_equal(trunc.order, full[: len(trunc.order)])
+    k = int(frac * len(full))
+    clipped = type(trunc)(base=trunc.base, k=k, order=full)
     coeffs = np.abs(trunc.base.coeffs)
     retained = [coeffs[z] for z in clipped.order[:k]]
     dropped = [coeffs[z] for z in clipped.order[k:]]
     if retained and dropped:
         assert min(retained) >= max(dropped)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    eta=st.integers(min_value=0, max_value=11),
+    levels=st.integers(min_value=1, max_value=5),
+    count=st.integers(min_value=1, max_value=2100),
+    seed=st.integers(min_value=0, max_value=2**32),
+)
+def test_order_prefix_equals_full_lexsort(eta, levels, count, seed):
+    # few distinct magnitudes, zero among them, so the selection threshold
+    # falls inside a long run of ties broken only by the mask
+    n = 1 << eta
+    rng = np.random.default_rng(seed)
+    coeffs = rng.integers(0, levels, size=n) * rng.choice([-1, 1], size=n)
+    prefix = wht._truncation_order(coeffs, count)
+    full = full_order(coeffs)
+    assert len(prefix) >= min(count, n)
+    assert np.array_equal(prefix, full[: len(prefix)])
+    last = abs(coeffs[prefix[-1]])
+    assert np.count_nonzero(np.abs(coeffs) >= last) == len(prefix)
+
+
+@pytest.mark.parametrize("prefix", [1, 2])
+def test_skip_search_doubles_a_short_prefix(monkeypatch, prefix):
+    # a prefix of one or two masks makes nearly every landing pass its end;
+    # the k must still be the linear scan's
+    calls = []
+    order = wht._truncation_order
+
+    def spy(coeffs, count):
+        calls.append(count)
+        return order(coeffs, count)
+
+    monkeypatch.setattr(wht, "_PREFIX", prefix)
+    monkeypatch.setattr(wht, "_truncation_order", spy)
+    rng = np.random.default_rng(67)
+    doubled = 0
+    for kind in ("uniform", "quarter", "ties", "spikes"):
+        for _ in range(3):
+            f = _hard_table(kind, rng, int(rng.integers(5, 10)), int(rng.integers(4, 12)))
+            curve = truncation_error_curve(f)
+            for epsilon in (2.0**-3, 2.0**-8, 1e-300):
+                calls.clear()
+                trunc = minimal_truncation(f, epsilon)
+                assert trunc.k == int(np.flatnonzero(curve < epsilon)[0])
+                assert trunc.k <= len(trunc.order)
+                assert calls == sorted(calls)
+                assert calls[:1] in ([], [min(2, np.count_nonzero(trunc.base.coeffs))])
+                doubled += len(calls) > 1
+    assert doubled >= 20
+
+
+@pytest.mark.parametrize("family", ["harmonic", "morse"])
+def test_search_peak_memory_at_eta_16(family):
+    # in units of one 2**eta int64 array: coeffs, the scan's state and its
+    # scratch, and at most two more (8 when the whole order was sorted)
+    eta = 16
+    grid = np.stack(synthetic.grid_coordinates(eta, 2), axis=-1)
+    f = quantize(synthetic.make_pes(family, dims=2).func(grid), d=eta + 8)
+    tracemalloc.start()
+    try:
+        trunc = minimal_truncation(f, 2.0**-10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert trunc.k > 0
+    assert peak <= 5 * (8 << eta)
 
 
 def full_array_error(num, period):
@@ -669,6 +746,20 @@ class TestFileIngestion:
         path.write_bytes(np.zeros(8).astype("<f8").tobytes())
         with pytest.raises(ScaleError, match="2\\*\\*MAX_ETA = 4 samples"):
             read_theta_binary(path)
+
+    def test_csv_peak_memory_per_sample(self, tmp_path):
+        n = 1 << 16
+        path = tmp_path / "t.csv"
+        data = np.random.default_rng(71).uniform(-1, 1, size=n)
+        path.write_text("".join(f"{float(v)!r}\n" for v in data))
+        tracemalloc.start()
+        try:
+            got = read_theta_csv(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, data)
+        assert peak <= 16 * n
 
     def test_csv_refused_at_the_first_line_past_the_limit(self, tmp_path, monkeypatch):
         monkeypatch.setattr(wht, "MAX_ETA", 2)
