@@ -213,7 +213,7 @@ def compare(
         else SampledFunction(eta=f.eta, d=d_ss, values=_requantize(f, d_ss))
     )
     lam, ss_report = optimize_lambda(f.eta, d_ss, f_ss)
-    lam2, _ = optimize_lambda_pow2(f.eta, d_ss, f_ss)
+    lam2, _ = optimize_lambda_pow2(f.eta, d_ss)
     return ComparisonRecord(
         eta=f.eta,
         d_wh=f.d,

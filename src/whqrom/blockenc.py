@@ -668,10 +668,7 @@ def of_sum_tensor(na: int, nb: int, nc: int) -> Callable[[int, int, int, int], i
             raise RangeError(f"row ({a}, {b}, {c}) out of range")
         if not 0 <= mu < rho:
             raise RangeError(f"mu = {mu} outside [0, {rho})")
-        if mu < na + nb + nc - 2:
-            mu2 = (mu - c) % (na + nb + nc - 2)
-        else:
-            mu2 = mu
+        mu2 = (mu - c) % rho
         if mu2 < na + nb - 1:
             mu1 = (mu2 - b) % (na + nb - 1)
         else:

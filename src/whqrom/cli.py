@@ -120,7 +120,7 @@ def cmd_wht_analyze(args) -> dict:
         "digits": f.d,
         "epsilon": args.epsilon,
         "chosenK": trunc.k,
-        "errorAtK": trunc.error(f),
+        "errorAtK": float(curve[trunc.k]),
         "concentrationCurve": [[int(k), float(e)] for k, e in enumerate(curve)],
     }
 

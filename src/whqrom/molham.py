@@ -19,7 +19,9 @@ alongside for the CSWAP-reduced encodings.
 
 Cost tables price the four encoding strategies with either the SELECT-SWAP
 lookup model (baseline.optimal_lookup) or actual Walsh-Hadamard QROM
-synthesis on the term data.  Both backends answer the same c_q / c_d calls.
+synthesis on the term data.  A strategy's rows are booked from loads, each
+a QROM lookup (C_Q) or a diagonal rotation load (C_D), and both backends
+price a load through the same ``price`` call.
 A system is built once by water_hamiltonian; norm_estimates and
 strategy_cost take the built system, and each StrategyCost carries the norm
 estimate of its row.  All O(.) slack terms carry explicit documented
@@ -455,7 +457,6 @@ class WaterSystem:
     terms: list
     terms_eff: list
     pes_parts: dict
-    decoupled: bool = False
 
     @property
     def dims(self) -> tuple:
@@ -650,7 +651,6 @@ def water_hamiltonian(spec: ToyMoleculeSpec, decoupled: bool = False) -> WaterSy
         terms=terms,
         terms_eff=terms_eff,
         pes_parts=pes_parts,
-        decoupled=decoupled,
     )
 
 
@@ -683,7 +683,6 @@ def _radial_chain(spec: ToyMoleculeSpec, decoupled: bool) -> WaterSystem:
         terms=terms,
         terms_eff=list(terms),
         pes_parts=pes_parts,
-        decoupled=decoupled,
     )
 
 
@@ -960,30 +959,31 @@ WH_DIGITS = 15
 
 
 class _SelectSwapBackend:
-    """Lookup costs as (t_count, t_depth, ancillas) from the SELECT-SWAP model.
+    """Load costs as (t_count, t_depth, ancillas) from the SELECT-SWAP model.
 
-    c_q loads n_entries entries of bits bits; c_d is a diagonal rotation
-    load, two ROTATION_BITS-wide lookups plus a 7 ROTATION_BITS
-    controlled-gate tail.  Both accept the term data and ignore it.
+    ``price(n_entries, bits)`` is C_Q, a lookup of n_entries entries of bits
+    bits; with bits None it is C_D, a diagonal rotation load: two
+    2 ROTATION_BITS-wide lookups plus a 7 ROTATION_BITS controlled-gate tail.
+    The term data is accepted and ignored.
     """
 
-    def c_q(self, n_entries: int, bits: int, data=None):
+    def price(self, n_entries: int, bits: int | None, data=None):
+        if bits is None:
+            t, depth, anc = self.price(n_entries, 2 * ROTATION_BITS)
+            return 2 * t + 7 * ROTATION_BITS, 2 * depth, anc
         _, toffoli, depth, anc = optimal_lookup(n_entries, bits)
         return 4 * toffoli, depth, anc
-
-    def c_d(self, n_entries: int, data=None):
-        t, depth, anc = self.c_q(n_entries, 2 * ROTATION_BITS)
-        return 2 * t + 7 * ROTATION_BITS, 2 * depth, anc
 
 
 class _WhBackend(_SelectSwapBackend):
     """Prices loads with term data by synthesizing the actual WH-QROM circuits.
 
-    With data, c_q and c_d run quantize -> truncate -> synthesize ->
-    pair_cancel on the real values (normalized by twice their sup so the
-    arccos-free load stays well-conditioned); a single QROM call implements
-    the diagonal unitary through phase kickback.  Calls without data use
-    the SELECT-SWAP model, so cost tables stay total functions.
+    A load with data, C_Q or C_D alike, runs quantize -> truncate ->
+    synthesize -> pair_cancel on the real values (normalized by twice their
+    sup so the arccos-free load stays well-conditioned); a single QROM call
+    implements the diagonal unitary through phase kickback.  A load without
+    data is priced by the SELECT-SWAP model, so cost tables stay total
+    functions.
 
     ``priced`` maps each table's float64 bytes to its cost, so a table that
     several rows or strategies load is synthesized once; it lives as long
@@ -992,12 +992,6 @@ class _WhBackend(_SelectSwapBackend):
 
     def __init__(self, priced: dict | None = None):
         self.priced = {} if priced is None else priced
-
-    def _table_cost(self, data):
-        key = np.asarray(data, dtype=np.float64).tobytes()
-        if key not in self.priced:
-            self.priced[key] = self._wh_cost(data)
-        return self.priced[key]
 
     @staticmethod
     def _wh_cost(values: np.ndarray):
@@ -1013,15 +1007,13 @@ class _WhBackend(_SelectSwapBackend):
         report = cost(circuit)
         return report.t_count, report.t_depth, report.qubit_count - f.eta
 
-    def c_q(self, n_entries: int, bits: int, data=None):
+    def price(self, n_entries: int, bits: int | None, data=None):
         if data is None:
-            return super().c_q(n_entries, bits)
-        return self._table_cost(data)
-
-    def c_d(self, n_entries: int, data=None):
-        if data is None:
-            return super().c_d(n_entries)
-        return self._table_cost(data)
+            return super().price(n_entries, bits)
+        key = np.asarray(data, dtype=np.float64).tobytes()
+        if key not in self.priced:
+            self.priced[key] = self._wh_cost(data)
+        return self.priced[key]
 
 
 #: Explicit constant for every O(log2 N) control/O_F tail: 4 Toffoli per qubit.
@@ -1036,23 +1028,30 @@ def strategy_cost(
 ) -> StrategyCost:
     """T-count table for one encoding strategy of a built system.
 
-    SELECT_SWAP prices lookups by the Toffoli-optimal lambda; WH prices the
-    loads that carry term data by synthesizing the actual spectra of the
-    sampled values.  ``wh_priced`` is the WH backend's table-cost memo (see
-    _WhBackend); pass one dict to every call of a request to synthesize each
-    distinct table once.  The O(log) control tails are booked as exactly
-    LOG_TAIL_TOFFOLI_PER_QUBIT Toffoli per involved qubit.  The row's norm
-    estimate is returned on the result as ``norm``.
+    A row is booked from loads (row, count, entries, bits, data): count
+    copies of a C_Q lookup of ``entries`` entries of ``bits`` bits, or of a
+    C_D diagonal rotation load when bits is None, with ``data`` the term
+    table (None where the row loads no sampled table); the loads of one row
+    add up.  SELECT_SWAP prices every load by the Toffoli-optimal lambda; WH
+    synthesizes the actual spectra of the loads that carry data.
+    ``wh_priced`` is the WH backend's table-cost memo (see _WhBackend); pass
+    one dict to every call of a request to synthesize each distinct table
+    once.  Only the DVR transforms, each mode's lookup priced on its
+    arcsin(T)/pi table, and the O(log) control tail, exactly
+    LOG_TAIL_TOFFOLI_PER_QUBIT Toffoli per involved qubit, are booked
+    directly.  The report sums the rows, rounds the T count up to a multiple
+    of 4, and counts log2 N system qubits plus the largest row's ancillas.
+    The row's norm estimate is returned on the result as ``norm``.
 
     In a water-form (bend) spec each stretch load is priced with its own
     mode's size and table.  The loads follow the H_eff terms: the four
     radial momentum loads are P1 in kin_r1, stretch_cross and
     stretch_bend_1 and P2 in stretch_cross; the 1/R load is the 1/R2 of
-    stretch_bend_1; two-stretch tables span n_r1 n_r2 points.  The exchange
-    check of :func:`norm_estimates` runs before any table is priced.
+    stretch_bend_1; two-stretch tables span n_r1 n_r2 points.  The strategy
+    and exchange checks of :func:`norm_estimates` run before any table is
+    priced.
     """
-    if strategy not in Strategy.ALL:
-        raise ConfigError(f"unknown strategy {strategy!r}")
+    norm = norm_estimates(system, strategy)
     if backend == Backend.WH:
         be = _WhBackend(wh_priced)
     elif backend == Backend.SELECT_SWAP:
@@ -1062,27 +1061,6 @@ def strategy_cost(
     spec = system.spec
     n_grid = spec.grid_size
     log_n = max(1, math.ceil(math.log2(n_grid)))
-    norm = norm_estimates(system, strategy)
-    breakdown = []
-    total_t = total_depth = 0
-    max_anc = 0
-
-    def book(name, t, depth, anc):
-        nonlocal total_t, total_depth, max_anc
-        total_t += int(t)
-        total_depth += int(depth)
-        max_anc = max(max_anc, int(anc))
-        breakdown.append((name, int(t), int(anc)))
-
-    def book_loads(calls):
-        """Book (row, count, entries, data) diagonal loads; a repeated row sums."""
-        rows = {}
-        for name, count, size, data in calls:
-            t, depth, anc = be.c_d(size, data)
-            pt, pd, pa = rows.get(name, (0, 0, 0))
-            rows[name] = (pt + count * t, pd + count * depth, max(pa, anc))
-        for name, (t, depth, anc) in rows.items():
-            book(name, t, depth, anc)
 
     if strategy == Strategy.LCU_FBR:
         n_paulis = 0.75 * n_grid**2 * log_n
@@ -1098,103 +1076,89 @@ def strategy_cost(
             breakdown=(("pauli_lcu", t, qubits),),
         )
 
+    rows = []  # (name, t_count, t_depth, ancillas), in booking order
+
+    def book_loads(loads):
+        merged = {}
+        for name, count, entries, bits, data in loads:
+            t, depth, anc = be.price(entries, bits, data)
+            pt, pd, pa = merged.get(name, (0, 0, 0))
+            merged[name] = (pt + count * t, pd + count * depth, max(pa, anc))
+        rows.extend((name, *row) for name, row in merged.items())
+
+    log_tail = ("log_tail", 4 * LOG_TAIL_TOFFOLI_PER_QUBIT * log_n, 0, log_n)
+    modes = system.modes
     if strategy == Strategy.FULL_DVR:
         rho = full_dvr_sparsity(spec)
-        t, depth, anc = be.c_q(rho * n_grid, TABLE_BITS)
-        book("o_a_x4", 4 * t, 4 * depth, anc)
-        t2, d2, a2 = be.c_d(1 << min(TABLE_BITS, 20))
-        book("rotation_diag_x2", 2 * t2, 2 * d2, a2)
-        tf, df, af = be.c_q(rho * n_grid, log_n)
-        book("o_f", tf, df, af)
+        book_loads([
+            ("o_a_x4", 4, rho * n_grid, TABLE_BITS, None),
+            ("rotation_diag_x2", 2, 1 << min(TABLE_BITS, 20), None, None),
+            ("o_f", 1, rho * n_grid, log_n, None),
+        ])
     elif strategy == Strategy.SEPARATE_DVR:
         if spec.has_bend:
             n_r1, n_r2, n_th = spec.basis_sizes
-            calls = [
-                ("g_r2r2theta2", 2, n_r1 * n_r2 * n_th * n_th, None),
-                ("g_full_grid", 1, n_grid, _data(system, "pes")),
-                ("g_r2", 6, n_r1 * n_r2, None),
-                ("g_theta2", 2, n_th * n_th, None),
-                ("g_theta", 1, n_th, _data(system, "sin")),
-                ("g_r", 1, n_r2, _data(system, "inv_r", 1)),
-            ]
+            book_loads([
+                ("g_r2r2theta2", 2, n_r1 * n_r2 * n_th * n_th, None, None),
+                ("g_full_grid", 1, n_grid, None, system.pes_grid()),
+                ("g_r2", 6, n_r1 * n_r2, None, None),
+                ("g_theta2", 2, n_th * n_th, None, None),
+                ("g_theta", 1, n_th, None, np.sqrt(1.0 - modes[2].u_nodes**2)),
+                ("g_r", 1, n_r2, None, 1.0 / modes[1].nodes_r),
+            ])
         else:
-            calls = [(f"mode_{i}", 1, n * n, None) for i, n in enumerate(spec.basis_sizes)]
-            calls.append(("pes", 1, n_grid, _data(system, "pes")))
-        book_loads(calls)
-        book("log_tail", 4 * LOG_TAIL_TOFFOLI_PER_QUBIT * log_n, 0, log_n)
+            loads = [(f"mode_{i}", 1, n * n, None, None) for i, n in enumerate(spec.basis_sizes)]
+            book_loads(loads + [("pes", 1, n_grid, None, system.pes_grid())])
+        rows.append(log_tail)
     else:  # FBR_DVR
         if spec.has_bend:
             n_r1, n_r2, n_th = spec.basis_sizes
-            calls = [
-                ("momentum_r", 3, 2 * n_r1, _data(system, "p_radial", 0)),
-                ("momentum_r", 1, 2 * n_r2, _data(system, "p_radial", 1)),
-                ("momentum_theta", 4, n_th * n_th // 2, _data(system, "p_bend")),
-                ("sin_theta", 3, n_th, _data(system, "sin")),
-                ("inv_r", 1, n_r2, _data(system, "inv_r", 1)),
-                ("pes", 1, n_grid, _data(system, "pes")),
-            ]
+            book_loads([
+                ("momentum_r", 3, 2 * n_r1, None, _amplitude_angles(modes[0].c_fbr)),
+                ("momentum_r", 1, 2 * n_r2, None, _amplitude_angles(modes[1].c_fbr)),
+                ("momentum_theta", 4, n_th * n_th // 2, None,
+                 _amplitude_angles(modes[2].deriv_fbr)),
+                ("sin_theta", 3, n_th, None, np.sqrt(1.0 - modes[2].u_nodes**2)),
+                ("inv_r", 1, n_r2, None, 1.0 / modes[1].nodes_r),
+                ("pes", 1, n_grid, None, system.pes_grid()),
+            ])
         else:
-            calls = [
-                (f"momentum_r{i + 1}", 2, 2 * n, _data(system, "p_radial", i))
+            loads = [
+                (f"momentum_r{i + 1}", 2, 2 * n, None, _amplitude_angles(modes[i].c_fbr))
                 for i, n in enumerate(spec.basis_sizes)
             ]
-            calls.append(("pes", 1, n_grid, _data(system, "pes")))
-        book_loads(calls)
-        tables = _arcsin_tables(system)
+            book_loads(loads + [("pes", 1, n_grid, None, system.pes_grid())])
 
         def coster(i: int, n_entries: int, d: int) -> CostReport:
-            t, depth, anc = be.c_q(n_entries, d, tables[i])
+            table = np.arcsin(np.clip(modes[i].t, -1, 1)).reshape(-1) / math.pi
+            t, depth, anc = be.price(n_entries, d, table)
             return CostReport.assemble(t, 0, 0, anc, depth)
 
-        dvr_report = dvr_oracle_cost(spec.basis_sizes, TABLE_BITS, coster)
-        book("dvr_transform_x2", 2 * dvr_report.t_count, 2 * dvr_report.t_depth,
-             dvr_report.qubit_count)
-        book("log_tail", 4 * LOG_TAIL_TOFFOLI_PER_QUBIT * log_n, 0, log_n)
-    if strategy in (Strategy.FBR_DVR, Strategy.SEPARATE_DVR) and spec.j_total > 0:
+        dvr = dvr_oracle_cost(spec.basis_sizes, TABLE_BITS, coster)
+        rows.append(("dvr_transform_x2", 2 * dvr.t_count, 2 * dvr.t_depth, dvr.qubit_count))
+        rows.append(log_tail)
+    if strategy != Strategy.FULL_DVR and spec.j_total > 0:
         # rotational rows: the z ladder is diagonal, x/y are 2-sparse
         j_dim = 2 * spec.j_total + 1
-        t, depth, anc = be.c_d(j_dim)
-        book("jz_x2", 2 * t, 2 * depth, anc)
-        t, depth, anc = be.c_d(2 * j_dim)
-        book("jxy_x4", 4 * t, 4 * depth, anc)
+        book_loads([("jz_x2", 2, j_dim, None, None), ("jxy_x4", 4, 2 * j_dim, None, None)])
 
-    total_t = 4 * ((total_t + 3) // 4)
-    qubits = log_n + max_anc
-    report = CostReport.assemble(total_t, 0, 0, qubits, total_depth)
+    total_t = sum(int(t) for _, t, _, _ in rows)
+    depth = sum(int(d) for _, _, d, _ in rows)
+    qubits = log_n + max(int(anc) for _, _, _, anc in rows)
+    report = CostReport.assemble(4 * ((total_t + 3) // 4), 0, 0, qubits, depth)
     return StrategyCost(
         strategy=strategy,
         backend=backend,
         report=report,
         norm=norm,
-        breakdown=tuple(breakdown),
+        breakdown=tuple((name, int(t), int(anc)) for name, t, _, anc in rows),
     )
 
 
-def _data(system: WaterSystem, which: str, mode: int = 0):
-    """Representative diagonal tables for the WH backend; the radial tables
-    ("inv_r", "p_radial") are those of radial mode ``mode``."""
-    modes = system.modes
-    if which == "pes":
-        return system.pes_grid()
-    if which == "sin":
-        bend = modes[-1]
-        return np.sqrt(1.0 - bend.u_nodes**2)
-    if which == "inv_r":
-        return 1.0 / modes[mode].nodes_r
-    if which == "p_radial":
-        c = modes[mode].c_fbr
-        vals = np.abs(c[np.nonzero(c)])
-        return np.arccos(np.sqrt(vals / vals.max())) / math.pi
-    if which == "p_bend":
-        d = modes[-1].deriv_fbr
-        vals = np.abs(d[np.nonzero(d)])
-        return np.arccos(np.sqrt(vals / vals.max())) / math.pi
-    raise ConfigError(f"unknown data table {which!r}")
-
-
-def _arcsin_tables(system: WaterSystem) -> list:
-    """arcsin(T)/pi column tables for the DVR oracle, one per mode."""
-    return [np.arcsin(np.clip(mode.t, -1, 1)).reshape(-1) / math.pi for mode in system.modes]
+def _amplitude_angles(matrix: np.ndarray) -> np.ndarray:
+    """arccos(sqrt(|a| / max|a|)) / pi over the nonzero entries a of matrix."""
+    vals = np.abs(matrix[np.nonzero(matrix)])
+    return np.arccos(np.sqrt(vals / vals.max())) / math.pi
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,143 @@
+"""Write a fixed corpus of seeded CLI reports, for byte-identity checks.
+
+    python3 tests/report_corpus.py OUT_DIR
+
+Each entry runs ``python -m whqrom.cli`` in a fresh process, on the
+``src/`` next to this file, with ``--out OUT_DIR/<entry>``.  Beside the
+reports and files the command writes, ``run.txt`` holds its argv, exit
+code, stdout and stderr, with the output directory written as ``<out>``
+and the source directory as ``<src>``.  A refactor that must keep every
+report unchanged runs this script in a checkout of the parent and in the
+change and compares the two with ``diff -r``.
+
+The corpus holds ``molham`` on eight specs under both backends with
+``--strategy all``, ``FULL_DVR`` and ``LCU_FBR``, plus one ``--sweep`` run;
+``wht-analyze`` and ``compare`` on the harmonic, Morse and wells surfaces
+at eta 8 and 12 (``compare`` also at eta 16), digits 8, 15, 24 and 33 and
+epsilon 2^-6, 2^-10 and 2^-14; ``dvr-check`` for Hermite and Legendre;
+and ``blockenc-verify`` at seeds 0-3.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+_M_H, _M_O = 1.00782503, 15.99491462
+_MU = 1.0 / (1.0 / _M_H + 1.0 / _M_O)
+
+
+def _water(n_r1=8, n_r2=8, n_th=8, masses=(_MU, _MU), **extra) -> dict:
+    spec = {
+        "basis_sizes": [n_r1, n_r2, n_th],
+        "masses_da": list(masses),
+        "freqs_cm": [3700.0, 3700.0],
+        "r0_angstrom": 0.9578,
+        "coupling_mass_da": _M_O,
+        "bend_center_u": math.cos(math.radians(104.5)),
+    }
+    spec.update(extra)
+    return spec
+
+
+def _radial(sizes, **extra) -> dict:
+    spec = {
+        "basis_sizes": list(sizes),
+        "masses_da": [1.0] * len(sizes),
+        "freqs_cm": [2000.0] * len(sizes),
+        "r0_angstrom": 3.0,
+    }
+    spec.update(extra)
+    return spec
+
+
+#: molham specs: (name, YAML mapping); an asymmetric water spec makes the
+#: reduced strategies exit 2.
+SPECS = [
+    ("water_8x8x8", _water()),
+    ("water_8x8x16_j2", _water(n_th=16, theta_max=2.5, j_total=2)),
+    ("water_12x12x14", _water(12, 12, 14)),
+    ("water_16x16x8_j1", _water(16, 16, 8, theta_max=2.0, j_total=1)),
+    ("water_asym_masses", _water(masses=(0.948, 1.896))),
+    ("radial_32", _radial((32,))),
+    ("radial_8x16_coupled", _radial((8, 16), coupling_mass_da=16.0)),
+    ("radial_8x8", {**_radial((8, 8)), "masses_da": [0.948, 0.948], "freqs_cm": [3700.0] * 2}),
+]
+
+
+def entries() -> list:
+    """(name, argv after --out, spec or None) in run order."""
+    out = []
+    for name, spec in SPECS:
+        for backend in ("SELECT_SWAP", "WH"):
+            for strategy in ("all", "FULL_DVR", "LCU_FBR"):
+                argv = ["molham", "--config", "{spec}", "--backend", backend,
+                        "--strategy", strategy]
+                out.append((f"molham_{name}_{backend}_{strategy}", argv, spec))
+    out.append((
+        "molham_sweep",
+        ["molham", "--sweep", "6", "8", "--sweep-eps", "6", "10"],
+        None,
+    ))
+    for command in ("wht-analyze", "compare"):
+        for surface in ("harmonic", "morse", "wells"):
+            for eta in (8, 12, 16) if command == "compare" else (8, 12):
+                for digits in (8, 15, 24, 33):
+                    for log2_inv_eps in (6, 10, 14):
+                        argv = [command, "--synthetic", surface, "--eta", str(eta),
+                                "--digits", str(digits), "--epsilon", repr(2.0**-log2_inv_eps)]
+                        name = f"{command}_{surface}_{eta}_{digits}_{log2_inv_eps}"
+                        out.append((name, argv, None))
+    for kind in ("hermite", "legendre"):
+        out.append((f"dvr-check_{kind}", ["dvr-check", "--kind", kind, "--n", "32"], None))
+    for seed in range(4):
+        out.append((f"blockenc-verify_{seed}", ["--seed", str(seed), "blockenc-verify"], None))
+    return out
+
+
+def _spec_yaml(spec: dict) -> str:
+    lines = []
+    for key, value in spec.items():
+        text = "[" + ", ".join(repr(v) for v in value) + "]" if isinstance(value, list) else repr(value)
+        lines.append(f"{key}: {text}\n")
+    return "".join(lines)
+
+
+def run(out_dir, selected=None) -> list:
+    """Run the corpus entries (all, or the first ``selected``) into out_dir;
+    returns their exit codes in order."""
+    out_dir = Path(out_dir)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    # BLAS rounds by thread count, and the molham levels come from dense eigh
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
+    codes = []
+    for name, argv, spec in entries()[:selected]:
+        where = out_dir / name
+        where.mkdir(parents=True, exist_ok=True)
+        if spec is not None:
+            (where / "spec.yaml").write_text(_spec_yaml(spec))
+        proc = subprocess.run(
+            [sys.executable, "-m", "whqrom.cli", "--out", str(where),
+             *(a.format(spec=where / "spec.yaml") for a in argv)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        text = (
+            f"argv: {' '.join(argv)}\nexit: {proc.returncode}\n"
+            f"stdout:\n{proc.stdout}stderr:\n{proc.stderr}"
+        )
+        (where / "run.txt").write_text(text.replace(str(where), "<out>").replace(str(SRC), "<src>"))
+        codes.append(proc.returncode)
+    return codes
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: python3 tests/report_corpus.py OUT_DIR")
+    codes = run(sys.argv[1])
+    print(f"{len(codes)} entries, {sum(c != 0 for c in codes)} with a nonzero exit")

@@ -453,3 +453,18 @@ class TestDeterminism:
         assert (serial / "molham_sweep.csv").read_bytes() == (
             pooled / "molham_sweep.csv"
         ).read_bytes()
+
+
+def test_report_corpus_smoke(tmp_path):
+    # the first corpus entries run end to end and write their reports
+    import importlib.util
+
+    path = Path(__file__).parent / "report_corpus.py"
+    spec = importlib.util.spec_from_file_location("report_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    assert corpus.run(tmp_path, selected=3) == [0, 0, 0]
+    names = [name for name, _, _ in corpus.entries()[:3]]
+    for name in names:
+        assert (tmp_path / name / "molham.json").is_file()
+        assert "exit: 0\n" in (tmp_path / name / "run.txt").read_text()

@@ -1,6 +1,8 @@
+import json
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -572,6 +574,86 @@ class TestStrategyCost:
         assert scj.report.t_count > sc0.report.t_count
         est = norm_estimates(excited, Strategy.FBR_DVR)
         assert any(name == "jxy" for name, _, _ in est.terms)
+
+
+#: The golden strategy-row specs: water forms with and without rotation and a
+#: restricted bend, and the three radial chains.
+STRATEGY_ROW_SPECS = {
+    "water_8x8x8": water_spec(n_r=8, n_theta=8),
+    "water_8x8x16_j2": replace(water_spec(n_r=8, n_theta=16, theta_max=2.5), j_total=2),
+    "radial_32": ToyMoleculeSpec(
+        basis_sizes=(32,), masses_da=(1.0,), freqs_cm=(2000.0,), r0_angstrom=3.0
+    ),
+    "radial_8x16_coupled": ToyMoleculeSpec(
+        basis_sizes=(8, 16),
+        masses_da=(1.0, 1.0),
+        freqs_cm=(2000.0, 2000.0),
+        r0_angstrom=3.0,
+        coupling_mass_da=16.0,
+    ),
+    "radial_8x8": ToyMoleculeSpec(
+        basis_sizes=(8, 8), masses_da=(0.948, 0.948), freqs_cm=(3700.0, 3700.0)
+    ),
+}
+
+STRATEGY_ROWS_PATH = Path(__file__).parent / "data" / "strategy_rows.json"
+
+
+def strategy_rows() -> dict:
+    """StrategyCost.to_json_dict() of every STRATEGY_ROW_SPECS system, strategy
+    and backend, keyed "spec/strategy/backend"."""
+    out = {}
+    for label, spec in STRATEGY_ROW_SPECS.items():
+        system = water_hamiltonian(spec)
+        memo = {}
+        for strategy in Strategy.ALL:
+            for backend in Backend.ALL:
+                sc = strategy_cost(system, strategy, backend, memo)
+                out[f"{label}/{strategy}/{backend}"] = sc.to_json_dict()
+    return json.loads(json.dumps(out))
+
+
+class TestStrategyRows:
+    def test_rows_match_golden_fixture(self):
+        """Every row, report and norm equals the stored fixture exactly.
+
+        The fixture was written at commit 4fe5338, before the strategy rows
+        were priced through one load list, from the repository root with this
+        test file in place:
+
+            PYTHONPATH=src python3 -c "import json, sys; sys.path.insert(0, 'tests');
+            from test_molham import strategy_rows, STRATEGY_ROWS_PATH;
+            STRATEGY_ROWS_PATH.write_text(json.dumps(strategy_rows(), indent=1) + '\\n')"
+        """
+        assert strategy_rows() == json.loads(STRATEGY_ROWS_PATH.read_text())
+
+    @pytest.mark.parametrize("label", STRATEGY_ROW_SPECS)
+    @pytest.mark.parametrize("backend", Backend.ALL)
+    def test_report_sums_its_rows(self, label, backend):
+        spec = STRATEGY_ROW_SPECS[label]
+        system = water_hamiltonian(spec)
+        log_n = max(1, math.ceil(math.log2(spec.grid_size)))
+        for strategy in (Strategy.FULL_DVR, Strategy.SEPARATE_DVR, Strategy.FBR_DVR):
+            sc = strategy_cost(system, strategy, backend)
+            total = sum(t for _, t, _ in sc.breakdown)
+            assert sc.report.t_count == 4 * math.ceil(total / 4)
+            assert sc.report.qubit_count == log_n + max(a for _, _, a in sc.breakdown)
+
+    def test_unknown_strategy_is_refused_before_any_table_is_priced(
+        self, small_system, monkeypatch
+    ):
+        from whqrom.molham import _WhBackend
+
+        def refuse(values):
+            raise AssertionError("a table was priced")
+
+        monkeypatch.setattr(_WhBackend, "_wh_cost", staticmethod(refuse))
+        with pytest.raises(ConfigError, match="unknown strategy 'FULL_FBR'"):
+            strategy_cost(small_system, "FULL_FBR", Backend.WH)
+
+    def test_unknown_backend_is_refused(self, small_system):
+        with pytest.raises(ConfigError, match="unknown backend 'SELECT'"):
+            strategy_cost(small_system, Strategy.FBR_DVR, "SELECT")
 
 
 class TestQpeCost:

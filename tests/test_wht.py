@@ -359,6 +359,27 @@ def test_skip_search_matches_linear_scan(eta, d, seed, kind, epsilon):
     assert trunc.order.dtype == np.int64 and not trunc.order.flags.writeable
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    eta=st.integers(min_value=1, max_value=10),
+    d=st.integers(min_value=2, max_value=33),
+    seed=st.integers(min_value=0, max_value=2**31),
+    kind=st.sampled_from(["smooth", "uniform", "quarter", "half", "ties", "spikes"]),
+    epsilon=st.integers(min_value=2, max_value=14).map(lambda j: 2.0**-j),
+)
+def test_curve_at_k_is_the_truncation_error(eta, d, seed, kind, epsilon):
+    # wht-analyze reports curve[k] as the error at the chosen k: the scan's
+    # error must equal the reconstruction's bit for bit
+    rng = np.random.default_rng(seed)
+    if kind == "smooth":
+        x = np.arange(1 << eta) / (1 << eta)
+        f = quantize(0.9 * np.cos(2 * np.pi * x + rng.uniform(0, 2 * np.pi)), d)
+    else:
+        f = _hard_table(kind, rng, eta, d)
+    trunc = minimal_truncation(f, epsilon)
+    assert truncation_error_curve(f, upto=trunc.k)[trunc.k] == trunc.error(f)
+
+
 def test_skip_search_on_non_monotone_profiles():
     # every distinct error value of a non-monotone curve, used as epsilon
     # itself and just above it, must give the linear scan's first k
