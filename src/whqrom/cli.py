@@ -172,22 +172,24 @@ def cmd_compare(args) -> dict:
 
 def cmd_dvr_check(args) -> dict:
     # default: the largest power of two dividing n, at most the Hermite
-    # limit for both families; an explicit longer Hermite segment is refused
-    # before any array is built
+    # limit for both families (it divides every n >= 1; gauss_quadrature
+    # refuses the rest); an explicit segment past the Hermite limit or not a
+    # power of two dividing n is refused before any array is built
     max_segment = dvr.MAX_HERMITE_SEGMENT
     segment = min(max_segment, args.n & -args.n) if args.segment is None else args.segment
     if args.kind == "hermite" and segment > max_segment:
         raise RangeError(
             f"--segment {segment} exceeds the Hermite limit MAX_HERMITE_SEGMENT = {max_segment}"
         )
+    if args.segment is not None:
+        if segment < 1:
+            raise ConfigError(f"--segment must be at least 1, got {segment}")
+        if args.n % segment or segment & (segment - 1):
+            raise ConfigError(f"--segment {segment} must be a power of two dividing n")
     quad = dvr.gauss_quadrature(args.kind, args.n)
     transform = dvr.build_transform(quad)
     gram_err = transform.orthogonality_error
     moment_err = _quadrature_exactness_error(quad)
-    if segment < 1:
-        raise ConfigError(f"--segment must be at least 1, got {segment}")
-    if args.n % segment or segment & (segment - 1):
-        raise ConfigError(f"--segment {segment} must be a power of two dividing n")
     if segment >= 2:
         coeffs = dvr.recursion_coeffs(quad.kind, args.n, segment)
         rebuilt = dvr.recursion_columns(
@@ -323,9 +325,21 @@ def _sweep_job(dims: int, eta: int, digits: int, epsilon: float) -> tuple:
     return (eta, epsilon, report.toffoli_count, trunc.k)
 
 
+def _sweep_epsilon(log2_eps: int) -> float:
+    """2^-log2_eps, refused unless it is a finite positive float."""
+    try:
+        eps = 2.0**-log2_eps
+    except OverflowError:
+        eps = math.inf
+    if not 0 < eps < math.inf:
+        raise ConfigError(f"--sweep-eps {log2_eps}: 2^-{log2_eps} is not a finite positive float")
+    return eps
+
+
 def cmd_molham(args) -> dict:
     if args.levels < 1:
         raise ConfigError(f"--levels must be at least 1, got {args.levels}")
+    sweep_eps = [_sweep_epsilon(log2_eps) for log2_eps in args.sweep_eps] if args.sweep else []
     if args.config:
         spec = _load_spec(args.config)
     else:
@@ -354,9 +368,7 @@ def cmd_molham(args) -> dict:
     payload["strategies"] = entries
     if args.sweep:
         rows = sorted(
-            _sweep_job(args.dims, eta, args.digits, 2.0**-log2_eps)
-            for eta in args.sweep
-            for log2_eps in args.sweep_eps
+            _sweep_job(args.dims, eta, args.digits, eps) for eta in args.sweep for eps in sweep_eps
         )
         out_dir = Path(args.out)
         lines = ["eta,epsilon,toffoli,kRetained"]
@@ -381,9 +393,6 @@ def _load_spec(path) -> molham.ToyMoleculeSpec:
         raise ParseError(f"{path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ParseError(f"{path}: expected a key/value mapping")
-    for key in ("basis_sizes", "masses_da", "freqs_cm"):
-        if key in data and isinstance(data[key], list):
-            data[key] = tuple(data[key])
     return molham.spec_from_dict(data)
 
 

@@ -14,8 +14,9 @@ Hamiltonian at J = 0 reads
 
 with u = cos(theta), P_u = -i d/du in the (optionally domain-restricted)
 Legendre basis, and radial modes in shifted harmonic-oscillator bases.  The
-exchange-symmetric half H_eff (H = H_eff + SWAP H_eff SWAP) is tracked
-alongside for the CSWAP-reduced encodings.
+CSWAP-reduced encodings price the exchange-symmetric half H_eff (H = H_eff +
+SWAP H_eff SWAP): each term of H is written once with its exchange role,
+and H_eff is derived from the roles.
 
 Cost tables price the four encoding strategies with either the SELECT-SWAP
 lookup model (baseline.optimal_lookup) or actual Walsh-Hadamard QROM
@@ -31,7 +32,7 @@ constants.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
 
 import numpy as np
@@ -198,18 +199,7 @@ def spec_from_dict(data: dict) -> ToyMoleculeSpec:
     """Validated spec from a flat key/value mapping (config-file schema)."""
     if not isinstance(data, dict):
         raise ConfigError("config root must be a mapping")
-    known = {
-        "basis_sizes",
-        "masses_da",
-        "freqs_cm",
-        "r0_angstrom",
-        "coupling_mass_da",
-        "theta_max",
-        "bend_force_au",
-        "bend_center_u",
-        "j_total",
-    }
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(ToyMoleculeSpec)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     try:
@@ -566,122 +556,81 @@ def _lowest_levels(matvec: Callable, n: int, count: int) -> np.ndarray:
         levels[-1], vecs[:, -1] = low[0], vec[:, 0]
 
 
-def _water_pes_parts(spec: ToyMoleculeSpec, radials, bend) -> dict:
-    parts = {}
-    for i, mode in enumerate(radials):
-        k = mode.mass_au * mode.omega_au**2
-        parts[i] = 0.5 * k * (mode.nodes_r - mode.r0_au) ** 2
-    if bend is not None:
-        parts[len(radials)] = 0.5 * spec.bend_force_au * (
-            bend.u_nodes - spec.bend_center_u
-        ) ** 2
-    return parts
-
-
 def water_hamiltonian(spec: ToyMoleculeSpec, decoupled: bool = False) -> WaterSystem:
-    """Assemble the valence-coordinate J = 0 system as DVR term lists.
+    """Assemble a toy system as DVR term lists from one term table.
 
-    decoupled=True takes the separability limit: the coupling mass goes to
-    infinity (dropping the stretch-stretch and stretch-bend couplings) and
-    the bend's 1/R^2 metric factors freeze at r0, leaving a sum of three
-    1-D problems.
+    A bend spec gives the valence-coordinate J = 0 water form; a spec
+    without a bend gives one or two radial modes, momentum-coupled through a
+    finite coupling mass.  decoupled=True takes the separability limit: the
+    coupling mass goes to infinity (dropping the stretch-stretch and
+    stretch-bend couplings) and the bend's 1/R^2 metric factors freeze at
+    r0, leaving a sum of 1-D problems.
+
+    Each term of H is written once, with its role in the exchange half
+    H_eff (H = H_eff + SWAP H_eff SWAP, SWAP exchanging the stretches), and
+    terms_eff is derived from the roles: a "keep" term is in H_eff and its
+    SWAP image, the next term, is an "image" term H_eff leaves out; a
+    "half" term is its own image, and H_eff holds it with its bend factor
+    halved.  Radial-chain terms are "whole": a chain has no exchange
+    reduction, so its H_eff is H.
     """
-    if not spec.has_bend:
-        return _radial_chain(spec, decoupled)
-    n_r1, n_r2, n_th = spec.basis_sizes
-    r1 = radial_mode(n_r1, spec.masses_da[0], spec.freqs_cm[0], spec.r0_angstrom)
-    r2 = radial_mode(n_r2, spec.masses_da[1], spec.freqs_cm[1], spec.r0_angstrom)
-    bend = bend_mode(n_th, spec.theta_max)
-    mu1, mu2 = r1.mass_au, r2.mass_au
-    mu12 = spec.coupling_mass_da * DALTON_TO_AU
-
-    d_dvr = bend.t @ bend.deriv_fbr @ bend.t.T / bend.half_width
-    u = bend.u_nodes
-    s_u = 1.0 - u * u
-    duu = d_dvr.T @ (s_u[:, None] * d_dvr)          # Pu^dag (1-u^2) Pu
-    duu_u = d_dvr.T @ ((u * s_u)[:, None] * d_dvr)  # Pu^dag u(1-u^2) Pu
-    mix = d_dvr.T @ np.diag(s_u) - np.diag(s_u) @ d_dvr  # M: A_u = i M
-
-    k1 = r1.t @ r1.kin_fbr @ r1.t.T
-    k2 = r2.t @ r2.kin_fbr @ r2.t.T
-    c1 = r1.t @ r1.c_fbr @ r1.t.T
-    c2 = r2.t @ r2.c_fbr @ r2.t.T
-    inv_r1 = 1.0 / r1.nodes_r
-    inv_r2 = 1.0 / r2.nodes_r
-    if decoupled:
-        inv_sq = 1.0 / (2 * mu1 * r1.r0_au**2) + 1.0 / (2 * mu2 * r2.r0_au**2)
-        terms = [
-            Term("kin_r1", (k1, None, None)),
-            Term("kin_r2", (None, k2, None)),
-            Term("bend_frozen", (None, None, inv_sq * duu)),
-        ]
-        half = [terms[0], Term("bend_frozen", (None, None, inv_sq * duu / 2))]
-    else:
-        terms = [
-            Term("kin_r1", (k1, None, None)),
-            Term("kin_r2", (None, k2, None)),
-            Term("bend_r1", (np.diag(inv_r1**2 / (2 * mu1)), None, duu)),
-            Term("bend_r2", (None, np.diag(inv_r2**2 / (2 * mu2)), duu)),
-            Term("bend_cross", (np.diag(inv_r1), np.diag(inv_r2), -duu_u / mu12)),
-            Term("stretch_cross", (c1, c2, -np.diag(u) / mu12)),
-            Term("stretch_bend_1", (c1, np.diag(inv_r2), -mix / (2 * mu12))),
-            Term("stretch_bend_2", (np.diag(inv_r1), c2, -mix / (2 * mu12))),
-        ]
-        half = [
-            Term("kin_r1", (k1, None, None)),
-            Term("bend_r1", (np.diag(inv_r1**2 / (2 * mu1)), None, duu)),
-            Term("bend_cross", (np.diag(inv_r1), np.diag(inv_r2), -duu_u / (2 * mu12))),
-            Term("stretch_cross", (c1, c2, -np.diag(u) / (2 * mu12))),
-            Term("stretch_bend_1", (c1, np.diag(inv_r2), -mix / (2 * mu12))),
-        ]
-    pes_parts = _water_pes_parts(spec, (r1, r2), bend)
-    for i, v in pes_parts.items():
-        factors = [None, None, None]
-        factors[i] = np.diag(v)
-        terms.append(Term(f"pes_{i}", tuple(factors)))
-
-    # exchange-symmetric half: H = H_eff + SWAP H_eff SWAP (modes 1 and 2)
-    terms_eff = half + [
-        Term("pes_0", (np.diag(pes_parts[0]), None, None)),
-        Term("pes_2", (None, None, np.diag(pes_parts[2] / 2.0))),
-    ]
-    return WaterSystem(
-        spec=spec,
-        modes=(r1, r2, bend),
-        terms=terms,
-        terms_eff=terms_eff,
-        pes_parts=pes_parts,
-    )
-
-
-def _radial_chain(spec: ToyMoleculeSpec, decoupled: bool) -> WaterSystem:
-    """One or two radial HO modes, optionally momentum-coupled."""
-    radials = [
+    radials = tuple(
         radial_mode(n, m, w, spec.r0_angstrom)
         for n, m, w in zip(spec.basis_sizes, spec.masses_da, spec.freqs_cm)
-    ]
-    terms = []
-    for i, mode in enumerate(radials):
-        factors = [None] * len(radials)
-        factors[i] = mode.t @ mode.kin_fbr @ mode.t.T
-        terms.append(Term(f"kin_r{i + 1}", tuple(factors)))
-    coupled = (
-        len(radials) == 2 and not decoupled and math.isfinite(spec.coupling_mass_da)
     )
-    if coupled:
-        mu12 = spec.coupling_mass_da * DALTON_TO_AU
-        c_mats = [m.t @ m.c_fbr @ m.t.T for m in radials]
-        terms.append(Term("stretch_cross", (-c_mats[0] / mu12, c_mats[1])))
-    pes_parts = _water_pes_parts(spec, radials, None)
-    for i, v in pes_parts.items():
-        factors = [None] * len(radials)
-        factors[i] = np.diag(v)
-        terms.append(Term(f"pes_{i}", tuple(factors)))
+    bend = bend_mode(spec.basis_sizes[2], spec.theta_max) if spec.has_bend else None
+    modes = radials if bend is None else (*radials, bend)
+    roles = ("keep", "image", "half") if bend is not None else ("whole",) * len(modes)
+    mu12 = spec.coupling_mass_da * DALTON_TO_AU
+    pes_parts = {}
+    for i, mode in enumerate(radials):
+        k = mode.mass_au * mode.omega_au**2
+        pes_parts[i] = 0.5 * k * (mode.nodes_r - mode.r0_au) ** 2
+
+    def on_mode(i: int, f: np.ndarray) -> tuple:
+        return tuple(f if j == i else None for j in range(len(modes)))
+
+    table = [  # (role, name, factors) in H order
+        (roles[i], f"kin_r{i + 1}", on_mode(i, mode.t @ mode.kin_fbr @ mode.t.T))
+        for i, mode in enumerate(radials)
+    ]
+    if bend is not None:
+        r1, r2 = radials
+        mu1, mu2 = r1.mass_au, r2.mass_au
+        d_dvr = bend.t @ bend.deriv_fbr @ bend.t.T / bend.half_width
+        u = bend.u_nodes
+        s_u = 1.0 - u * u
+        duu = d_dvr.T @ (s_u[:, None] * d_dvr)  # Pu^dag (1-u^2) Pu
+        pes_parts[2] = 0.5 * spec.bend_force_au * (u - spec.bend_center_u) ** 2
+        if decoupled:
+            inv_sq = 1.0 / (2 * mu1 * r1.r0_au**2) + 1.0 / (2 * mu2 * r2.r0_au**2)
+            table.append(("half", "bend_frozen", (None, None, inv_sq * duu)))
+        else:
+            duu_u = d_dvr.T @ ((u * s_u)[:, None] * d_dvr)  # Pu^dag u(1-u^2) Pu
+            mix = d_dvr.T @ np.diag(s_u) - np.diag(s_u) @ d_dvr  # M: A_u = i M
+            c1, c2 = (m.t @ m.c_fbr @ m.t.T for m in radials)
+            inv_r1, inv_r2 = (1.0 / m.nodes_r for m in radials)
+            table += [
+                ("keep", "bend_r1", (np.diag(inv_r1**2 / (2 * mu1)), None, duu)),
+                ("image", "bend_r2", (None, np.diag(inv_r2**2 / (2 * mu2)), duu)),
+                ("half", "bend_cross", (np.diag(inv_r1), np.diag(inv_r2), -duu_u / mu12)),
+                ("half", "stretch_cross", (c1, c2, -np.diag(u) / mu12)),
+                ("keep", "stretch_bend_1", (c1, np.diag(inv_r2), -mix / (2 * mu12))),
+                ("image", "stretch_bend_2", (np.diag(inv_r1), c2, -mix / (2 * mu12))),
+            ]
+    elif len(radials) == 2 and not decoupled and math.isfinite(spec.coupling_mass_da):
+        c1, c2 = (m.t @ m.c_fbr @ m.t.T for m in radials)
+        table.append(("whole", "stretch_cross", (-c1 / mu12, c2)))
+    table += [(roles[i], f"pes_{i}", on_mode(i, np.diag(v))) for i, v in pes_parts.items()]
     return WaterSystem(
         spec=spec,
-        modes=tuple(radials),
-        terms=terms,
-        terms_eff=list(terms),
+        modes=modes,
+        terms=[Term(name, factors) for _, name, factors in table],
+        terms_eff=[
+            Term(name, (*factors[:-1], factors[-1] / 2) if role == "half" else factors)
+            for role, name, factors in table
+            if role != "image"
+        ],
         pes_parts=pes_parts,
     )
 
@@ -1170,12 +1119,15 @@ def qpe_cost(zeta_cm: float, c_h: CostReport, epsilon_cm: float) -> CostReport:
     """Heisenberg-limited phase estimation: calls = ceil(pi zeta / (2 eps)).
 
     The documented convention for the O(zeta/eps) call count; the phase
-    register adds ceil(log2(zeta/eps)) qubits.
+    register adds ceil(log2(zeta/eps)) qubits.  A count past the float range
+    is a RangeError.
     """
     if not epsilon_cm > 0:
         raise RangeError(f"epsilon must be positive, got {epsilon_cm}")
-    calls = math.ceil(math.pi * zeta_cm / (2.0 * epsilon_cm))
-    calls = max(calls, 1)
+    calls = math.pi * zeta_cm / (2.0 * epsilon_cm)
+    if not math.isfinite(calls):
+        raise RangeError(f"zeta / epsilon = {zeta_cm} / {epsilon_cm} overflows the QPE call count")
+    calls = max(math.ceil(calls), 1)
     phase_register = max(1, math.ceil(math.log2(max(2.0, zeta_cm / epsilon_cm))))
     qubits = c_h.qubit_count + phase_register
     t = calls * c_h.t_count

@@ -205,6 +205,33 @@ class TestDvrCheck:
             err = capsys.readouterr().err
             assert "MAX_HERMITE_SEGMENT = 32" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--segment", "0"], "--segment must be at least 1, got 0"),
+            (["--n", "16", "--segment", "3"], "--segment 3 must be a power of two dividing n"),
+            (["--n", "12", "--segment", "8"], "--segment 8 must be a power of two dividing n"),
+        ],
+    )
+    def test_bad_segment_is_refused_before_the_build(
+        self, tmp_path, capsys, monkeypatch, argv, message
+    ):
+        from whqrom import dvr
+
+        def unreachable(*args):
+            raise AssertionError("quadrature built before the segment check")
+
+        monkeypatch.setattr(dvr, "gauss_quadrature", unreachable)
+        assert run(tmp_path, "dvr-check", *argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+
+    def test_zero_points_are_refused_by_the_quadrature(self, tmp_path, capsys):
+        # the default segment of n = 0 is 0; the error names the point count
+        assert run(tmp_path, "dvr-check", "--n", "0") == 2
+        err = capsys.readouterr().err
+        assert "point count must be >= 1, got 0" in err and "--segment" not in err
+
     def test_hermite_limit_is_a_config_error(self, tmp_path, capsys):
         from whqrom.dvr import MAX_HERMITE_POINTS
 
@@ -327,6 +354,23 @@ class TestMolham:
         assert run(tmp_path, "molham", "--config", str(cfg), "--strategy", "all") == 2
         assert "config error: masses_da: SEPARATE_DVR needs equal stretches" in capsys.readouterr().err
         assert run(tmp_path, "molham", "--config", str(cfg), "--strategy", "FULL_DVR") == 0
+
+    @pytest.mark.parametrize("log2_eps", ["-2000", "-1024", "1075"])
+    def test_sweep_epsilon_outside_float_is_refused_before_the_sweep(
+        self, tmp_path, capsys, monkeypatch, log2_eps
+    ):
+        # -2000 once overflowed in a traceback; 1075 gave epsilon 0.0 and was
+        # refused only after the earlier sweep points had run
+        from whqrom import cli
+
+        def unreachable(*args):
+            raise AssertionError("a sweep point ran before the --sweep-eps check")
+
+        monkeypatch.setattr(cli, "_sweep_job", unreachable)
+        argv = ["molham", "--strategy", "FULL_DVR", "--sweep", "4", "--sweep-eps", "6", log2_eps]
+        assert run(tmp_path, *argv) == 2
+        err = capsys.readouterr().err
+        assert f"config error: --sweep-eps {log2_eps}:" in err and "Traceback" not in err
 
     def test_sweep_csv_feeds_fit(self, tmp_path):
         code = run(

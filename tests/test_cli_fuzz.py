@@ -217,8 +217,9 @@ commands = st.one_of(
 # dvr-check sizes beyond the drawn range: the default segment (64, 48), the
 # Hermite moments past float64 overflow (172, 256) and the Hermite limit
 # (372); segment 0, which must be refused before n % segment; a Hermite
-# segment past MAX_HERMITE_SEGMENT; and a COO index far past MAX_COO_DIM,
-# which must be refused before the dense matrix is built
+# segment past MAX_HERMITE_SEGMENT; a COO index far past MAX_COO_DIM,
+# which must be refused before the dense matrix is built; and a QPE call
+# count and a sweep epsilon past the float range
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "64"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "48"], None), seed=0, fmt="json")
 @example(command=(["dvr-check", "--kind", "hermite", "--n", "172"], None), seed=0, fmt="json")
@@ -235,6 +236,8 @@ commands = st.one_of(
     seed=0,
     fmt="json",
 )
+@example(command=(["molham", "--epsilon-cm", "1e-305"], None), seed=0, fmt="json")
+@example(command=(["molham", "--sweep", "4", "--sweep-eps", "-2000"], None), seed=0, fmt="json")
 def test_cli_exit_code_contract(command, seed, fmt):
     argv, file = command
     with tempfile.TemporaryDirectory() as tmp:

@@ -349,6 +349,128 @@ class TestMatrixFree:
         assert sop_operator(system.terms_eff, system.dims)(vec).tobytes() == want_eff.tobytes()
 
 
+def hand_written_terms(spec, decoupled=False):
+    """(terms, terms_eff) from the two hand-kept builders the term table
+    replaced: the water-form H and H_eff lists, and the radial chain."""
+    Term = molham.Term
+    if not spec.has_bend:
+        radials = [
+            radial_mode(n, m, w, spec.r0_angstrom)
+            for n, m, w in zip(spec.basis_sizes, spec.masses_da, spec.freqs_cm)
+        ]
+        terms = []
+        for i, mode in enumerate(radials):
+            factors = [None] * len(radials)
+            factors[i] = mode.t @ mode.kin_fbr @ mode.t.T
+            terms.append(Term(f"kin_r{i + 1}", tuple(factors)))
+        if len(radials) == 2 and not decoupled and math.isfinite(spec.coupling_mass_da):
+            mu12 = spec.coupling_mass_da * DALTON_TO_AU
+            c_mats = [m.t @ m.c_fbr @ m.t.T for m in radials]
+            terms.append(Term("stretch_cross", (-c_mats[0] / mu12, c_mats[1])))
+        for i, mode in enumerate(radials):
+            factors = [None] * len(radials)
+            k = mode.mass_au * mode.omega_au**2
+            factors[i] = np.diag(0.5 * k * (mode.nodes_r - mode.r0_au) ** 2)
+            terms.append(Term(f"pes_{i}", tuple(factors)))
+        return terms, list(terms)
+
+    n_r1, n_r2, n_th = spec.basis_sizes
+    r1 = radial_mode(n_r1, spec.masses_da[0], spec.freqs_cm[0], spec.r0_angstrom)
+    r2 = radial_mode(n_r2, spec.masses_da[1], spec.freqs_cm[1], spec.r0_angstrom)
+    bend = bend_mode(n_th, spec.theta_max)
+    mu1, mu2 = r1.mass_au, r2.mass_au
+    mu12 = spec.coupling_mass_da * DALTON_TO_AU
+    d_dvr = bend.t @ bend.deriv_fbr @ bend.t.T / bend.half_width
+    u = bend.u_nodes
+    s_u = 1.0 - u * u
+    duu = d_dvr.T @ (s_u[:, None] * d_dvr)
+    duu_u = d_dvr.T @ ((u * s_u)[:, None] * d_dvr)
+    mix = d_dvr.T @ np.diag(s_u) - np.diag(s_u) @ d_dvr
+    k1 = r1.t @ r1.kin_fbr @ r1.t.T
+    k2 = r2.t @ r2.kin_fbr @ r2.t.T
+    c1 = r1.t @ r1.c_fbr @ r1.t.T
+    c2 = r2.t @ r2.c_fbr @ r2.t.T
+    inv_r1 = 1.0 / r1.nodes_r
+    inv_r2 = 1.0 / r2.nodes_r
+    if decoupled:
+        inv_sq = 1.0 / (2 * mu1 * r1.r0_au**2) + 1.0 / (2 * mu2 * r2.r0_au**2)
+        terms = [
+            Term("kin_r1", (k1, None, None)),
+            Term("kin_r2", (None, k2, None)),
+            Term("bend_frozen", (None, None, inv_sq * duu)),
+        ]
+        half = [terms[0], Term("bend_frozen", (None, None, inv_sq * duu / 2))]
+    else:
+        terms = [
+            Term("kin_r1", (k1, None, None)),
+            Term("kin_r2", (None, k2, None)),
+            Term("bend_r1", (np.diag(inv_r1**2 / (2 * mu1)), None, duu)),
+            Term("bend_r2", (None, np.diag(inv_r2**2 / (2 * mu2)), duu)),
+            Term("bend_cross", (np.diag(inv_r1), np.diag(inv_r2), -duu_u / mu12)),
+            Term("stretch_cross", (c1, c2, -np.diag(u) / mu12)),
+            Term("stretch_bend_1", (c1, np.diag(inv_r2), -mix / (2 * mu12))),
+            Term("stretch_bend_2", (np.diag(inv_r1), c2, -mix / (2 * mu12))),
+        ]
+        half = [
+            Term("kin_r1", (k1, None, None)),
+            Term("bend_r1", (np.diag(inv_r1**2 / (2 * mu1)), None, duu)),
+            Term("bend_cross", (np.diag(inv_r1), np.diag(inv_r2), -duu_u / (2 * mu12))),
+            Term("stretch_cross", (c1, c2, -np.diag(u) / (2 * mu12))),
+            Term("stretch_bend_1", (c1, np.diag(inv_r2), -mix / (2 * mu12))),
+        ]
+    pes_parts = {}
+    for i, mode in enumerate((r1, r2)):
+        k = mode.mass_au * mode.omega_au**2
+        pes_parts[i] = 0.5 * k * (mode.nodes_r - mode.r0_au) ** 2
+    pes_parts[2] = 0.5 * spec.bend_force_au * (bend.u_nodes - spec.bend_center_u) ** 2
+    for i, v in pes_parts.items():
+        factors = [None, None, None]
+        factors[i] = np.diag(v)
+        terms.append(Term(f"pes_{i}", tuple(factors)))
+    terms_eff = half + [
+        Term("pes_0", (np.diag(pes_parts[0]), None, None)),
+        Term("pes_2", (None, None, np.diag(pes_parts[2] / 2.0))),
+    ]
+    return terms, terms_eff
+
+
+_ASYMMETRIC_WATER = replace(
+    water_spec(n_r=8, n_theta=8), masses_da=(0.948, 1.896), freqs_cm=(3700.0, 3600.0)
+)
+
+#: The systems the term table is checked on against the hand-kept lists.
+TERM_TABLE_SYSTEMS = [
+    (water_spec(n_r=8, n_theta=8), False),
+    (water_spec(n_r=8, n_theta=8), True),
+    (water_spec(n_r=12, n_theta=14), False),
+    (water_spec(n_r=16, n_theta=8, theta_max=2.0), False),
+    (replace(water_spec(n_r=8, n_theta=16, theta_max=2.5), j_total=2), False),
+    (_ASYMMETRIC_WATER, False),
+    (_ASYMMETRIC_WATER, True),
+    (ToyMoleculeSpec(basis_sizes=(32,), masses_da=(1.0,), freqs_cm=(2000.0,), r0_angstrom=3.0), False),
+    (ToyMoleculeSpec(basis_sizes=(8, 16), coupling_mass_da=2.0, **_CHAIN), False),
+    (ToyMoleculeSpec(basis_sizes=(8, 16), coupling_mass_da=2.0, **_CHAIN), True),
+    (ToyMoleculeSpec(basis_sizes=(8, 8), **_CHAIN), False),
+]
+
+
+class TestTermTable:
+    @pytest.mark.parametrize("spec, decoupled", TERM_TABLE_SYSTEMS)
+    def test_terms_equal_the_hand_kept_lists(self, spec, decoupled):
+        # same names, same order and the same float64 bytes in every factor
+        system = water_hamiltonian(spec, decoupled=decoupled)
+        want_terms, want_eff = hand_written_terms(spec, decoupled)
+        for got, want in ((system.terms, want_terms), (system.terms_eff, want_eff)):
+            assert [t.name for t in got] == [t.name for t in want]
+            for a, b in zip(got, want):
+                assert len(a.factors) == len(b.factors)
+                for fa, fb in zip(a.factors, b.factors):
+                    assert (fa is None) == (fb is None)
+                    if fa is not None:
+                        assert np.array_equal(fa, fb)
+                        assert fa.dtype == fb.dtype and fa.tobytes() == fb.tobytes()
+
+
 class TestNormEstimates:
     def test_radial_momentum_closed_form(self):
         # lambda_PR = sqrt(mu omega (n+1) / 2): a max-element bound for the
@@ -676,6 +798,12 @@ class TestQpeCost:
     def test_volume_consistency(self):
         report = qpe_cost(50.0, self.base_report(), 2.0)
         assert report.quantum_volume == report.t_count * report.qubit_count
+
+    @pytest.mark.parametrize("epsilon_cm", [1e-305, 1e-310, 5e-324])
+    def test_call_count_past_the_float_range_is_a_range_error(self, epsilon_cm):
+        # these once ended in an OverflowError from ceil(inf)
+        with pytest.raises(RangeError, match="overflows the QPE call count"):
+            qpe_cost(1e5, self.base_report(), epsilon_cm)
 
 
 class TestFitScaling:
