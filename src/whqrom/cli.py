@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv as _csv
+import functools
 import json
 import math
 import os
@@ -114,7 +115,7 @@ def cmd_wht_analyze(args) -> dict:
     f = _load_table(args)
     trunc = wht.minimal_truncation(f, args.epsilon)
     upto = min(trunc.k + 16, f.n)
-    curve = wht.truncation_error_curve(f, upto=upto)
+    curve = wht.truncation_error_curve(f, upto=upto, spectrum=trunc.base)
     return {
         "eta": f.eta,
         "digits": f.d,
@@ -340,6 +341,11 @@ def cmd_molham(args) -> dict:
     if args.levels < 1:
         raise ConfigError(f"--levels must be at least 1, got {args.levels}")
     sweep_eps = [_sweep_epsilon(log2_eps) for log2_eps in args.sweep_eps] if args.sweep else []
+    # refuse what a sweep point would refuse, with its error, before the build
+    for eta in args.sweep or ():
+        synthetic.make_pes("harmonic", dims=args.dims)
+        synthetic.check_grid(eta, args.dims)
+        wht._check_eta_d(eta, args.digits)
     if args.config:
         spec = _load_spec(args.config)
     else:
@@ -454,7 +460,9 @@ def _add_table_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--eta", type=int, default=None, help="address qubits for synthetic tables")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """Built on first use; later calls share it and its bound ``func``s."""
     parser = argparse.ArgumentParser(
         prog="whqrom",
         description="Walsh-Hadamard QROM synthesis and block-encoding toolkit",

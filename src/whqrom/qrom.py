@@ -41,7 +41,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ParseError, RangeError, ScaleError, ShapeError, ToleranceError
-from .wht import MAX_ETA, TruncatedSpectrum, _butterfly
+from .wht import MAX_ETA, TruncatedSpectrum, _butterfly_in_place
 
 __all__ = [
     "Ordering",
@@ -660,12 +660,16 @@ def simulate_table(circuit: QromCircuit, y0: int = 0) -> np.ndarray:
     np.add.at(doubled, sign[adder], np.where(cadd, f1, 2 * f1)[adder])
     np.add.at(doubled, (sign ^ function >> 1)[cadd], np.where(function & 1, f1, -f1)[cadd])
     # 2T mod 2**64; shifting right by one leaves T mod 2**63 in the low bits
-    t = _butterfly(doubled) >> 1
+    t = _butterfly_in_place(doubled)
+    t >>= 1
+    t += y0
+    ones = (1 << b) - 1
+    t &= ones
     # np.bitwise_count returns uint8: widen before scaling by 2**b - 1
     x = np.arange(1 << eta, dtype=np.int64)
     parity = (np.bitwise_count(x & (int(sign[-1]) if n else 0)) & 1).astype(np.int64)
-    ones = (1 << b) - 1
-    return ((t + y0) & ones) ^ (parity * ones)
+    t ^= parity * ones
+    return t
 
 
 # ---------------------------------------------------------------------------

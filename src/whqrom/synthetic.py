@@ -25,6 +25,7 @@ from .wht import MAX_ETA  # the largest eta a synthetic table is sampled at
 __all__ = [
     "SyntheticPes",
     "MAX_ETA",
+    "check_grid",
     "grid_coordinates",
     "separable_harmonic",
     "morse_sum",
@@ -49,16 +50,21 @@ class SyntheticPes:
         return self.func(np.stack(qs, axis=-1))
 
 
+def check_grid(eta: int, dims: int) -> None:
+    """Refuse a split :func:`grid_coordinates` cannot make, allocating nothing."""
+    if dims < 1 or eta < dims:
+        raise RangeError(f"cannot split {eta} bits into {dims} coordinates")
+    if eta > MAX_ETA:
+        raise ScaleError(f"eta = {eta} exceeds the limit MAX_ETA = {MAX_ETA}")
+
+
 def grid_coordinates(eta: int, dims: int) -> list[np.ndarray]:
     """Split eta bits into dims uniform coordinates on [0, 1).
 
     The first coordinates get the extra bits when eta % dims != 0; the
     lowest-order bits of the index feed the first coordinate.
     """
-    if dims < 1 or eta < dims:
-        raise RangeError(f"cannot split {eta} bits into {dims} coordinates")
-    if eta > MAX_ETA:
-        raise ScaleError(f"eta = {eta} exceeds the limit MAX_ETA = {MAX_ETA}")
+    check_grid(eta, dims)
     bits = [eta // dims + (1 if i < eta % dims else 0) for i in range(dims)]
     x = np.arange(1 << eta)
     out = []

@@ -14,8 +14,10 @@ The corpus holds ``molham`` on eight specs under both backends with
 ``--strategy all``, ``FULL_DVR`` and ``LCU_FBR``, plus one ``--sweep`` run;
 ``wht-analyze`` and ``compare`` on the harmonic, Morse and wells surfaces
 at eta 8 and 12 (``compare`` also at eta 16), digits 8, 15, 24 and 33 and
-epsilon 2^-6, 2^-10 and 2^-14; ``dvr-check`` for Hermite and Legendre;
-and ``blockenc-verify`` at seeds 0-3.
+epsilon 2^-6, 2^-10 and 2^-14; ``qrom-synth`` (whose ``qrom_circuit.txt``
+holds the wire text) at eta 12 and 18 and ``compare`` at eta 18, on the
+same surfaces with digits 15 and epsilon 2^-6 and 2^-10; ``dvr-check`` for
+Hermite and Legendre; and ``blockenc-verify`` at seeds 0-3.
 """
 
 from __future__ import annotations
@@ -93,6 +95,13 @@ def entries() -> list:
                                 "--digits", str(digits), "--epsilon", repr(2.0**-log2_inv_eps)]
                         name = f"{command}_{surface}_{eta}_{digits}_{log2_inv_eps}"
                         out.append((name, argv, None))
+    for command, etas in (("qrom-synth", (12, 18)), ("compare", (18,))):
+        for surface in ("harmonic", "morse", "wells"):
+            for eta in etas:
+                for log2_inv_eps in (6, 10):
+                    argv = [command, "--synthetic", surface, "--eta", str(eta),
+                            "--digits", "15", "--epsilon", repr(2.0**-log2_inv_eps)]
+                    out.append((f"{command}_{surface}_{eta}_15_{log2_inv_eps}", argv, None))
     for kind in ("hermite", "legendre"):
         out.append((f"dvr-check_{kind}", ["dvr-check", "--kind", kind, "--n", "32"], None))
     for seed in range(4):

@@ -86,6 +86,21 @@ class TestWhtAnalyze:
         err = capsys.readouterr().err
         assert err.startswith("config error: eta = 62") and err.count("\n") == 1
 
+    def test_one_transform_per_report(self, tmp_path, monkeypatch):
+        # the curve reads the search's spectrum; the report is the one the
+        # curve gives when it transforms the table itself
+        calls = []
+        forward, curve = wht.wht_forward, wht.truncation_error_curve
+        monkeypatch.setattr(wht, "wht_forward", lambda f: calls.append(f.eta) or forward(f))
+        argv = ["wht-analyze", "--synthetic", "morse", "--eta", "12", "--epsilon", "0.0009765625"]
+        assert run(tmp_path / "shared", *argv) == 0
+        assert calls == [12]
+        monkeypatch.setattr(wht, "truncation_error_curve", lambda f, upto, spectrum: curve(f, upto))
+        assert run(tmp_path / "own", *argv) == 0
+        assert calls == [12, 12, 12]
+        shared = (tmp_path / "shared" / "wht_analyze.json").read_bytes()
+        assert shared == (tmp_path / "own" / "wht_analyze.json").read_bytes()
+
 
 class TestQromSynth:
     def test_writes_circuit_and_cost(self, tmp_path):
@@ -372,6 +387,41 @@ class TestMolham:
         err = capsys.readouterr().err
         assert f"config error: --sweep-eps {log2_eps}:" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["--sweep", "30"], "eta = 30 exceeds the limit MAX_ETA = 24"),
+            (["--sweep", "4", "25", "--sweep-eps"], "eta = 25 exceeds the limit MAX_ETA = 24"),
+            (["--sweep", "4", "--dims", "0"], "a surface needs at least one dimension, got dims = 0"),
+            (["--sweep", "6", "1"], "cannot split 1 bits into 2 coordinates"),
+            (["--sweep", "4", "--dims", "5"], "cannot split 4 bits into 5 coordinates"),
+            (["--sweep", "4", "--digits", "0"], "bit width d must be positive, got 0"),
+            (["--sweep", "4", "--digits", "59"], "eta + d = 63 exceeds the 64-bit safe limit 62"),
+            # doubly invalid: the sweep's check now comes before the QPE's
+            (
+                ["--sweep", "4", "--dims", "0", "--epsilon-cm", "-1"],
+                "a surface needs at least one dimension, got dims = 0",
+            ),
+        ],
+    )
+    def test_bad_sweep_is_refused_before_the_build(self, tmp_path, capsys, monkeypatch, extra, message):
+        from whqrom import molham
+
+        def unreachable(*args):
+            raise AssertionError("the system was built before the --sweep check")
+
+        monkeypatch.setattr(molham, "water_hamiltonian", unreachable)
+        assert run(tmp_path, "molham", *extra) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {message}" in err and "Traceback" not in err
+        assert not (tmp_path / "molham.json").exists()
+
+    def test_sweep_digits_past_the_table_limit_still_run(self, tmp_path):
+        # a sweep point takes any d with eta + d <= 62, not only --digits <= 33
+        argv = ["molham", "--strategy", "FULL_DVR", "--sweep", "4", "--digits", "40", "--sweep-eps", "6"]
+        assert run(tmp_path, *argv) == 0
+        assert (tmp_path / "molham_sweep.csv").read_text().startswith("eta,epsilon,toffoli,kRetained\n4,")
+
     def test_sweep_csv_feeds_fit(self, tmp_path):
         code = run(
             tmp_path,
@@ -455,6 +505,14 @@ class TestFailureContract:
 
 
 class TestDeterminism:
+    def test_parser_is_built_once_per_process(self, tmp_path):
+        from whqrom import cli
+
+        parser = cli.build_parser()
+        assert run(tmp_path, "dvr-check", "--n", "8") == 0
+        assert cli.build_parser() is parser
+        assert parser.parse_args(["dvr-check"]).func is cli.cmd_dvr_check
+
     def test_byte_identical_reruns(self, tmp_path):
         out1 = tmp_path / "a"
         out2 = tmp_path / "b"

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from whqrom import qrom
+from whqrom import qrom, synthetic
 from whqrom.blockenc import exact_table_qrom
 from whqrom.errors import ParseError, RangeError, ScaleError, ShapeError, ToleranceError
 from whqrom.qrom import (
@@ -99,6 +101,25 @@ class TestSynthesize:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("family", ["harmonic", "morse"])
+    def test_table_peak_memory_at_eta_16(self, family):
+        # the Walsh sum transformed, shifted and masked in place, an address
+        # arange and the parity temporaries; 6.06 (harmonic) and 6.40 (morse)
+        # arrays when the butterfly copied the sum and the tail was not in place
+        eta = 16
+        grid = np.stack(synthetic.grid_coordinates(eta, 2), axis=-1)
+        f = quantize(synthetic.make_pes(family, dims=2).func(grid), d=15)
+        trunc = minimal_truncation(f, 2.0**-10)
+        circuit = pair_cancel(synthesize(trunc), trunc)
+        tracemalloc.start()
+        try:
+            table = simulate_table(circuit, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(table, expected_table(trunc, 5, circuit.payload_width))
+        assert peak <= 5 * (8 << eta)
+
     def test_constant_function(self):
         eta, d, c = 4, 6, -9
         f = SampledFunction(eta=eta, d=d, values=np.full(1 << eta, c))
@@ -633,8 +654,8 @@ def oracle_gray_rank(z):
 
 
 def oracle_items(spec):
-    b = spec.base.b
-    return [(z, oracle_centered(c, b)) for z, c in spec.support_coeffs() if c % (1 << b)]
+    b, masks = spec.base.b, spec.order[: spec.k].tolist()
+    return [(z, oracle_centered(c, b)) for z in masks if (c := int(spec.base.coeffs[z])) % (1 << b)]
 
 
 def oracle_chain(items, b):

@@ -1,6 +1,7 @@
 import os
 import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -696,6 +697,116 @@ def test_in_place_butterfly_equals_copy_and_hadamard(eta, bits, seed):
     signs = hadamard(n, dtype=np.int8)
     rows = [block.astype(np.int64) @ values for block in np.array_split(signs, max(1, n // 256))]
     assert np.array_equal(got, np.concatenate(rows))
+
+
+def radix2_butterfly(values):
+    """The plain radix-2 loop: each level in place on pairs of h-long rows,
+    with a half-length scratch for the differences."""
+    a = np.array(values, dtype=np.int64)
+    tmp = np.empty(a.shape[0] // 2, dtype=np.int64)
+    h = 1
+    while h < a.shape[0]:
+        pairs = a.reshape(-1, 2, h)
+        lo, hi, diff = pairs[:, 0], pairs[:, 1], tmp.reshape(-1, h)
+        np.subtract(lo, hi, out=diff)
+        lo += hi
+        hi[...] = diff
+        h *= 2
+    return a
+
+
+INT64 = np.iinfo(np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    eta=st.integers(min_value=0, max_value=18),
+    block_bits=st.sampled_from([wht._BLOCK_BITS, 1, 2, 3, 4, 7]),
+    seed=st.integers(min_value=0, max_value=2**32),
+    edges=st.lists(
+        st.tuples(st.integers(min_value=0), st.sampled_from([INT64.min, INT64.max, -1, 0, 1])),
+        max_size=6,
+    ),
+)
+def test_blocked_butterfly_equals_radix2_loop(eta, block_bits, seed, edges):
+    # full-range int64 values wrap on the first level; below eta 17 the
+    # block holds eta - 1 levels, an odd count at every even eta, and the
+    # small block sizes put odd stage counts on many blocks at once
+    values = np.random.default_rng(seed).integers(INT64.min, INT64.max, size=1 << eta, endpoint=True)
+    for i, v in edges:
+        values[i % values.size] = v
+    before = values.copy()
+    with patch.object(wht, "_BLOCK_BITS", block_bits):
+        got = wht._butterfly(values)
+    assert got.dtype == np.int64
+    assert np.array_equal(values, before)
+    assert np.array_equal(got, radix2_butterfly(values))
+
+
+@pytest.mark.parametrize("eta", [19, 20])
+def test_blocked_butterfly_over_several_blocks(eta):
+    rng = np.random.default_rng(eta)
+    values = rng.integers(INT64.min, INT64.max, size=1 << eta, endpoint=True)
+    values[rng.integers(0, 1 << eta, size=64)] = INT64.max
+    before = values.copy()
+    got = wht._butterfly(values)
+    assert np.array_equal(values, before)
+    assert np.array_equal(got, radix2_butterfly(values))
+    # quantized tables do not wrap: forward twice is 2**eta times the table
+    f = random_function(rng, eta, 62 - eta)
+    assert np.array_equal(wht._butterfly(wht_forward(f).coeffs), f.values << eta)
+
+
+@pytest.mark.parametrize("eta", [12, 16])
+def test_butterfly_peak_memory(eta):
+    # the copy and the half-length scratch, and a few KiB of views; the
+    # radix-2 loop took 3.05 arrays at eta 12 and 1.88 at eta 16
+    values = np.random.default_rng(eta).integers(-(1 << 40), 1 << 40, size=1 << eta)
+    tracemalloc.start()
+    try:
+        wht._butterfly(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * (8 << eta) + (16 << 10)
+
+
+@pytest.mark.parametrize("family", ["harmonic", "morse"])
+def test_rebuild_peak_memory_at_eta_16(family):
+    # one copy of the spectrum, transformed in place with its scratch (2.88
+    # arrays when the butterfly copied the masked spectrum and the table
+    # scaled by 2**eta was a temporary)
+    eta = 16
+    grid = np.stack(synthetic.grid_coordinates(eta, 2), axis=-1)
+    f = quantize(synthetic.make_pes(family, dims=2).func(grid), d=15)
+    trunc = minimal_truncation(f, 2.0**-10)
+    scan = wht._IncrementalScan(f, trunc.base.coeffs, trunc.order)
+    for _ in range(trunc.k):
+        scan.advance()
+    expected = scan.num
+    scan = wht._IncrementalScan(f, trunc.base.coeffs, trunc.order)
+    tracemalloc.start()
+    try:
+        wht._rebuild(scan, trunc.base, trunc.k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert scan.k == trunc.k
+    assert np.array_equal(scan.num, expected)
+    assert peak <= 1.5 * (8 << eta) + (64 << 10)
+
+
+def test_curve_takes_the_search_spectrum():
+    rng = np.random.default_rng(97)
+    f = random_function(rng, 9, 12)
+    trunc = minimal_truncation(f, 2.0**-8)
+    upto = min(trunc.k + 16, f.n)
+    own = truncation_error_curve(f, upto=upto)
+    assert np.array_equal(truncation_error_curve(f, upto, spectrum=trunc.base), own)
+    with pytest.raises(ShapeError, match="does not fit f"):
+        truncation_error_curve(f, 4, spectrum=wht_forward(random_function(rng, 8, 12)))
+    with pytest.raises(ShapeError, match="does not fit f"):
+        truncation_error_curve(f, 4, spectrum=wht_forward(random_function(rng, 9, 13)))
 
 
 class TestFileIngestion:
