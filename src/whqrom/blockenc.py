@@ -184,6 +184,10 @@ class SparseOracle:
             raise ShapeError(f"column table must be {self.n}x{self.rho}")
         if not 1 <= self.rho <= self.n:
             raise RangeError(f"rho = {self.rho} outside [1, {self.n}]")
+        bad = np.argwhere((cols < 0) | (cols >= self.n))
+        if bad.size:
+            j, k = bad[0]
+            raise ShapeError(f"column index {cols[j, k]} of row {j} lies outside [0, {self.n})")
         for j in range(self.n):
             row = cols[j]
             if len(set(int(c) for c in row)) != self.rho:

@@ -88,8 +88,10 @@ def _check_digits(digits: int) -> None:
 
 
 def _load_table(args) -> wht.SampledFunction:
-    """Samples from --input (binary/CSV) or a seeded synthetic generator."""
+    """Samples from --input (binary/CSV) or a seeded synthetic generator;
+    --digits and --epsilon are refused before either is read."""
     _check_digits(args.digits)
+    wht.check_epsilon(args.epsilon)
     if args.input:
         theta = wht.read_theta(args.input, args.input_format)
     else:
@@ -346,6 +348,7 @@ def cmd_molham(args) -> dict:
         synthetic.make_pes("harmonic", dims=args.dims)
         synthetic.check_grid(eta, args.dims)
         wht._check_eta_d(eta, args.digits)
+    wht.check_epsilon(args.epsilon_cm)
     if args.config:
         spec = _load_spec(args.config)
     else:

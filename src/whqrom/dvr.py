@@ -13,13 +13,14 @@ orthogonal: T^T T = I up to roundoff.
 Columns of T satisfy a three-term recursion inherited from the polynomial
 recurrence,
 
-    T[p, q+2] = (A_q + B_q x_p) T[p, q+1] + C_q T[p, q],
+    T[p, q+2] = B_q x_p T[p, q+1] + C_q T[p, q],
 
-which the column-reconstruction oracle exploits: the matrix is split into
-segments of F columns, the two middle columns of each segment are loaded
-directly, and the rest are rebuilt by scaled ascending/descending
-recursions whose running coefficients fold the C_q factors into a final
-per-column division by gamma_q.
+with no constant term A_q: it is proportional to the Jacobi diagonal, zero
+for both weights since they are even.  The column-reconstruction oracle
+exploits it: the matrix is split into segments of F columns, the two middle
+columns of each segment are loaded directly, and the rest are rebuilt by
+scaled ascending/descending recursions whose running coefficients fold the
+C_q factors into a final per-column division by gamma_q.
 """
 
 from __future__ import annotations
@@ -75,25 +76,30 @@ class QuadratureKind(enum.Enum):
     LEGENDRE = "legendre"
 
 
-def _jacobi_recurrence(kind: QuadratureKind, n: int):
-    """Orthonormal-recurrence data (alpha, beta, mu0) for the family.
+def _parse_kind(kind: QuadratureKind | str) -> QuadratureKind:
+    try:
+        return QuadratureKind(kind.lower() if isinstance(kind, str) else kind)
+    except ValueError as exc:
+        raise ConfigError(f"unsupported quadrature kind {kind!r}") from exc
 
-    beta[j] multiplies p_{j} in  beta[j+1] p_{j+1} = (x - alpha[j]) p_j -
-    beta[j] p_{j-1}; mu0 is the weight-function total mass.
+
+def _check_segment(n: int, segment: int) -> None:
+    if segment < 2 or segment & (segment - 1) or n % segment:
+        raise ShapeError(f"segment size {segment} must be a power of two dividing {n}")
+
+
+def _jacobi_recurrence(kind: QuadratureKind, n: int):
+    """Orthonormal-recurrence data (beta, mu0) for the family.
+
+    beta[j] multiplies p_{j} in  beta[j+1] p_{j+1} = x p_j - beta[j] p_{j-1};
+    mu0 is the weight-function total mass.
     """
     j = np.arange(n, dtype=np.float64)
     if kind is QuadratureKind.HERMITE:
-        alpha = np.zeros(n)
-        beta = np.sqrt(j / 2.0)
-        mu0 = math.sqrt(math.pi)
-    elif kind is QuadratureKind.LEGENDRE:
-        alpha = np.zeros(n)
-        beta = j / np.sqrt(4.0 * j * j - 1.0, where=j > 0, out=np.ones(n))
-        beta[0] = 0.0
-        mu0 = 2.0
-    else:
-        raise ConfigError(f"unsupported quadrature kind {kind!r}")
-    return alpha, beta, mu0
+        return np.sqrt(j / 2.0), math.sqrt(math.pi)
+    beta = j / np.sqrt(4.0 * j * j - 1.0, where=j > 0, out=np.ones(n))
+    beta[0] = 0.0
+    return beta, 2.0
 
 
 @dataclass(frozen=True)
@@ -127,11 +133,7 @@ def gauss_quadrature(kind: QuadratureKind | str, n: int) -> Quadrature:
     form w_k = 1 / sum_j p_j(q_k)**2, which stays positive where the raw
     eigenvector first components underflow (large-n Hermite).
     """
-    if isinstance(kind, str):
-        try:
-            kind = QuadratureKind(kind.lower())
-        except ValueError as exc:
-            raise ConfigError(f"unsupported quadrature kind {kind!r}") from exc
+    kind = _parse_kind(kind)
     if n < 1:
         raise RangeError(f"point count must be >= 1, got {n}")
     if n > MAX_POINTS:
@@ -144,11 +146,8 @@ def gauss_quadrature(kind: QuadratureKind | str, n: int) -> Quadrature:
     # imported here so that the table commands do not pay for scipy.linalg at start-up
     from scipy.linalg import eigh_tridiagonal
 
-    alpha, beta, _ = _jacobi_recurrence(kind, n)
-    if n == 1:
-        nodes = np.array([alpha[0]])
-    else:
-        nodes = eigh_tridiagonal(alpha, beta[1:], eigvals_only=True)
+    beta, _ = _jacobi_recurrence(kind, n)
+    nodes = np.zeros(1) if n == 1 else eigh_tridiagonal(np.zeros(n), beta[1:], eigvals_only=True)
     polys = _orthonormal_polynomials(kind, n, nodes)
     weights = 1.0 / np.sum(polys * polys, axis=0)
     return Quadrature(kind=kind, n=n, nodes=nodes, weights=weights)
@@ -156,13 +155,13 @@ def gauss_quadrature(kind: QuadratureKind | str, n: int) -> Quadrature:
 
 def _orthonormal_polynomials(kind: QuadratureKind, n: int, x: np.ndarray) -> np.ndarray:
     """Rows j = 0..n-1 of the orthonormal polynomials evaluated at x."""
-    alpha, beta, mu0 = _jacobi_recurrence(kind, n + 1)
+    beta, mu0 = _jacobi_recurrence(kind, n + 1)
     out = np.empty((n, x.shape[0]), dtype=np.float64)
     out[0] = 1.0 / math.sqrt(mu0)
     if n > 1:
-        out[1] = (x - alpha[0]) * out[0] / beta[1]
+        out[1] = x * out[0] / beta[1]
     for j in range(2, n):
-        out[j] = ((x - alpha[j - 1]) * out[j - 1] - beta[j - 1] * out[j - 2]) / beta[j]
+        out[j] = (x * out[j - 1] - beta[j - 1] * out[j - 2]) / beta[j]
     return out
 
 
@@ -200,7 +199,7 @@ def build_transform(q: Quadrature) -> DvrTransform:
     """
     polys = _orthonormal_polynomials(q.kind, q.n, q.nodes)
     matrix = np.sqrt(q.weights)[:, None] * polys.T
-    _, beta, mu0 = _jacobi_recurrence(q.kind, q.n)
+    beta, mu0 = _jacobi_recurrence(q.kind, q.n)
     normalizers = np.empty(q.n)
     normalizers[0] = 1.0 / math.sqrt(mu0)
     for j in range(1, q.n):
@@ -222,45 +221,35 @@ def fbr_potential(t: DvrTransform, v_grid: np.ndarray) -> np.ndarray:
 class RecursionCoeffs:
     """Per-column recursion data for one (family, n, F) segmentation.
 
-    a_col, b_col, c_col are the raw coefficients of T[p, q+2] =
-    (A_q + B_q x_p) T[p, q+1] + C_q T[p, q] (index q = 0..n-3).  a_scaled,
-    b_scaled, gamma hold the folded ascending/descending variants; gamma is
-    exactly 1 on the two midpoint columns of every segment.
+    b_scaled and gamma fold T[p, q+2] = B_q x_p T[p, q+1] + C_q T[p, q]
+    into its ascending/descending variants (A_q = 0: both weights are even);
+    gamma is exactly 1 on the two midpoint columns of every segment.
     """
 
     kind: QuadratureKind
     n: int
     segment: int
-    a_col: np.ndarray = field(repr=False)
-    b_col: np.ndarray = field(repr=False)
-    c_col: np.ndarray = field(repr=False)
-    a_scaled: np.ndarray = field(repr=False)
     b_scaled: np.ndarray = field(repr=False)
     gamma: np.ndarray = field(repr=False)
 
 
 def recursion_coeffs(kind: QuadratureKind | str, n: int, segment: int) -> RecursionCoeffs:
-    """Raw and scaled three-term coefficients for the segmented recursion.
+    """Scaled coefficients of the segmented recursion B_q x_p T[p, q+1] +
+    C_q T[p, q]; A_q = 0, as both weights are even.
 
     A Hermite segment longer than :data:`MAX_HERMITE_SEGMENT` raises
     :class:`RangeError`.
     """
-    if isinstance(kind, str):
-        kind = QuadratureKind(kind.lower())
-    if segment < 2 or segment & (segment - 1) or n % segment:
-        raise ShapeError(f"segment size {segment} must be a power of two dividing {n}")
+    kind = _parse_kind(kind)
+    _check_segment(n, segment)
     if kind is QuadratureKind.HERMITE and segment > MAX_HERMITE_SEGMENT:
         raise RangeError(
             f"Hermite segment {segment} exceeds MAX_HERMITE_SEGMENT = {MAX_HERMITE_SEGMENT}"
         )
-    alpha, beta, _ = _jacobi_recurrence(kind, n + 1)
-    # p_{q+2} = (x - alpha_{q+1}) / beta_{q+2} p_{q+1} - beta_{q+1}/beta_{q+2} p_q
-    qs = np.arange(n - 2) if n > 2 else np.arange(0)
-    a_col = -alpha[qs + 1] / beta[qs + 2]
-    b_col = 1.0 / beta[qs + 2]
-    c_col = -beta[qs + 1] / beta[qs + 2]
-
-    a_scaled = np.zeros(n)
+    beta, _ = _jacobi_recurrence(kind, n + 1)
+    # p_{q+2} = x p_{q+1} / beta_{q+2} - beta_{q+1} / beta_{q+2} p_q, q = 0..n-3
+    b_col = 1.0 / beta[2:n]
+    c_col = -beta[1 : n - 1] / beta[2:n]
     b_scaled = np.zeros(n)
     gamma = np.ones(n)
     half = segment // 2
@@ -268,28 +257,12 @@ def recursion_coeffs(kind: QuadratureKind | str, n: int, segment: int) -> Recurs
         mid_hi = seg_start + half      # gamma = 1 here
         mid_lo = mid_hi - 1            # and here
         for q in range(mid_hi + 1, seg_start + segment):
-            c = c_col[q - 2]
-            gamma[q] = gamma[q - 2] / c
-            ratio = gamma[q] / gamma[q - 1]
-            a_scaled[q] = ratio * a_col[q - 2]
-            b_scaled[q] = ratio * b_col[q - 2]
+            gamma[q] = gamma[q - 2] / c_col[q - 2]
+            b_scaled[q] = gamma[q] / gamma[q - 1] * b_col[q - 2]
         for q in range(mid_lo - 1, seg_start - 1, -1):
-            c = c_col[q]
-            gamma[q] = gamma[q + 2] * c
-            ratio = gamma[q + 2] / gamma[q + 1]
-            a_scaled[q] = -ratio * a_col[q]
-            b_scaled[q] = -ratio * b_col[q]
-    return RecursionCoeffs(
-        kind=kind,
-        n=n,
-        segment=segment,
-        a_col=a_col,
-        b_col=b_col,
-        c_col=c_col,
-        a_scaled=a_scaled,
-        b_scaled=b_scaled,
-        gamma=gamma,
-    )
+            gamma[q] = gamma[q + 2] * c_col[q]
+            b_scaled[q] = -(gamma[q + 2] / gamma[q + 1]) * b_col[q]
+    return RecursionCoeffs(kind=kind, n=n, segment=segment, b_scaled=b_scaled, gamma=gamma)
 
 
 def recursion_columns(
@@ -319,20 +292,15 @@ def recursion_columns(
                 raise ShapeError(f"missing init column {q}")
             scaled[:, q] = np.asarray(init_columns[q], dtype=np.float64)
         for q in range(mid_hi + 1, seg_start + segment):
-            scaled[:, q] = (
-                coeffs.a_scaled[q] + coeffs.b_scaled[q] * x
-            ) * scaled[:, q - 1] + scaled[:, q - 2]
+            scaled[:, q] = coeffs.b_scaled[q] * x * scaled[:, q - 1] + scaled[:, q - 2]
         for q in range(mid_lo - 1, seg_start - 1, -1):
-            scaled[:, q] = (
-                coeffs.a_scaled[q] + coeffs.b_scaled[q] * x
-            ) * scaled[:, q + 1] + scaled[:, q + 2]
+            scaled[:, q] = coeffs.b_scaled[q] * x * scaled[:, q + 1] + scaled[:, q + 2]
     return scaled / coeffs.gamma[None, :]
 
 
 def midpoint_columns(t: DvrTransform, segment: int) -> dict:
     """The two middle columns per segment, as the init lookup would load."""
-    if segment < 2 or segment & (segment - 1) or t.n % segment:
-        raise ShapeError(f"segment size {segment} must be a power of two dividing {t.n}")
+    _check_segment(t.n, segment)
     cols = {}
     half = segment // 2
     for seg_start in range(0, t.n, segment):

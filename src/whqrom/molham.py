@@ -41,7 +41,7 @@ from .baseline import optimal_lookup
 from .dvr import MAX_POINTS, QuadratureKind, build_transform, dvr_oracle_cost, gauss_quadrature
 from .errors import ConfigError, FitError, GridError, RangeError, ScaleError
 from .qrom import CostReport, cost, pair_cancel, synthesize
-from .wht import minimal_truncation, quantize
+from .wht import check_epsilon, minimal_truncation, quantize
 
 __all__ = [
     "DALTON_TO_AU",
@@ -1122,8 +1122,7 @@ def qpe_cost(zeta_cm: float, c_h: CostReport, epsilon_cm: float) -> CostReport:
     register adds ceil(log2(zeta/eps)) qubits.  A count past the float range
     is a RangeError.
     """
-    if not epsilon_cm > 0:
-        raise RangeError(f"epsilon must be positive, got {epsilon_cm}")
+    check_epsilon(epsilon_cm)
     calls = math.pi * zeta_cm / (2.0 * epsilon_cm)
     if not math.isfinite(calls):
         raise RangeError(f"zeta / epsilon = {zeta_cm} / {epsilon_cm} overflows the QPE call count")

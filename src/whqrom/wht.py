@@ -43,6 +43,7 @@ __all__ = [
     "wht_forward",
     "wht_inverse",
     "diag_error",
+    "check_epsilon",
     "minimal_truncation",
     "truncation_error_curve",
     "read_theta_binary",
@@ -391,6 +392,12 @@ class _IncrementalScan:
         self.num &= self.period - 1
 
 
+def check_epsilon(epsilon: float) -> None:
+    """Refuse an error target that is not positive, nan included."""
+    if not epsilon > 0:
+        raise RangeError(f"epsilon must be positive, got {epsilon}")
+
+
 def minimal_truncation(f: SampledFunction, epsilon: float) -> TruncatedSpectrum:
     """Smallest-k truncation whose reconstruction beats epsilon.
 
@@ -419,8 +426,7 @@ def minimal_truncation(f: SampledFunction, epsilon: float) -> TruncatedSpectrum:
     eta terms ahead is one separable product, a farther one a ``_rebuild``.
     ``BENCH_2.json`` holds the traced search times.
     """
-    if not epsilon > 0:
-        raise RangeError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     spectrum = wht_forward(f)
     coeffs = spectrum.coeffs
     nonzero = int(np.count_nonzero(coeffs))
@@ -469,7 +475,10 @@ def truncation_error_curve(
     The exhaustive oracle companion to :func:`minimal_truncation`; O(upto *
     2**eta), so keep upto modest for large eta.  ``spectrum``, f's transform
     (the search's ``base``), spares a second one; without it f is transformed.
+    An upto outside [0, f.n] raises :class:`RangeError`.
     """
+    if upto is not None and not 0 <= upto <= f.n:
+        raise RangeError(f"upto = {upto} outside [0, {f.n}]")
     if spectrum is None:
         spectrum = wht_forward(f)
     elif (spectrum.eta, spectrum.b) != (f.eta, f.eta + f.d):

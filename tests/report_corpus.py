@@ -17,7 +17,9 @@ at eta 8 and 12 (``compare`` also at eta 16), digits 8, 15, 24 and 33 and
 epsilon 2^-6, 2^-10 and 2^-14; ``qrom-synth`` (whose ``qrom_circuit.txt``
 holds the wire text) at eta 12 and 18 and ``compare`` at eta 18, on the
 same surfaces with digits 15 and epsilon 2^-6 and 2^-10; ``dvr-check`` for
-Hermite and Legendre; and ``blockenc-verify`` at seeds 0-3.
+Hermite and Legendre at n 32 with the default segment, and at n 16, 48 and
+64 with ``--segment`` 1, 2, 4, ... up to n (for Hermite, past 32 only the
+refused 64 at n 64); and ``blockenc-verify`` at seeds 0-3.
 """
 
 from __future__ import annotations
@@ -104,6 +106,10 @@ def entries() -> list:
                     out.append((f"{command}_{surface}_{eta}_15_{log2_inv_eps}", argv, None))
     for kind in ("hermite", "legendre"):
         out.append((f"dvr-check_{kind}", ["dvr-check", "--kind", kind, "--n", "32"], None))
+        for n in (16, 48, 64):
+            for segment in (1 << i for i in range(n.bit_length())):
+                argv = ["dvr-check", "--kind", kind, "--n", str(n), "--segment", str(segment)]
+                out.append((f"dvr-check_{kind}_{n}_{segment}", argv, None))
     for seed in range(4):
         out.append((f"blockenc-verify_{seed}", ["--seed", str(seed), "blockenc-verify"], None))
     return out

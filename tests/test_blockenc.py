@@ -174,6 +174,14 @@ class TestSparseChecks:
             BlockEncodingResult(np.eye(2), 0, 1, 1.0, np.eye(1), residual=0.0)
 
 
+@pytest.mark.parametrize("bad", [7, -1])
+def test_oracle_refuses_column_indices_outside_the_matrix(bad):
+    # 7 once ended dsparse_fused in an IndexError; -1 was accepted and read row 3
+    m = np.diag([1.0, 2.0, 0.0, 3.0])
+    with pytest.raises(ShapeError, match=rf"column index {bad} of row 2 lies outside \[0, 4\)"):
+        SparseOracle(n=4, rho=1, matrix=m, columns=[[0], [1], [bad], [3]])
+
+
 def test_cli_import_does_not_load_scipy():
     # scipy loads on first use: the table commands never call it
     src = Path(blockenc.__file__).resolve().parents[1]

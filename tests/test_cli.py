@@ -475,6 +475,40 @@ def test_table_commands_do_not_load_scipy(tmp_path, argv):
     assert proc.returncode == 0, proc.stderr
 
 
+def _unreachable(*args, **kwargs):
+    raise AssertionError("work began before the epsilon check")
+
+
+@pytest.mark.parametrize("command", ["wht-analyze", "qrom-synth", "compare"])
+@pytest.mark.parametrize("epsilon", ["0", "-1", "nan"])
+def test_table_epsilon_is_refused_before_the_table_is_read(
+    tmp_path, capsys, monkeypatch, command, epsilon
+):
+    # --epsilon 0 once sampled and quantized the whole table first, and an
+    # absent --input ended in a parse error (exit 3) before it
+    from whqrom import synthetic
+
+    monkeypatch.setattr(synthetic.SyntheticPes, "sample", _unreachable)
+    monkeypatch.setattr(wht, "read_theta", _unreachable)
+    for source in (["--synthetic", "morse", "--eta", "22"], ["--input", str(tmp_path / "absent.f64")]):
+        assert run(tmp_path, command, *source, "--epsilon", epsilon) == 2
+        err = capsys.readouterr().err
+        assert f"config error: epsilon must be positive, got {float(epsilon)}\n" == err
+
+
+@pytest.mark.parametrize("epsilon", ["0", "nan"])
+def test_epsilon_cm_is_refused_before_the_build(tmp_path, capsys, monkeypatch, epsilon):
+    # --epsilon-cm 0 once built the system, solved for the levels and priced
+    # every strategy before the QPE refused it
+    from whqrom import molham
+
+    monkeypatch.setattr(molham, "water_hamiltonian", _unreachable)
+    assert run(tmp_path, "molham", "--epsilon-cm", epsilon) == 2
+    err = capsys.readouterr().err
+    assert f"config error: epsilon must be positive, got {float(epsilon)}\n" == err
+    assert not (tmp_path / "molham.json").exists()
+
+
 class TestFailureContract:
     """Defects the CLI fuzz test found, each pinned to its exit code."""
 

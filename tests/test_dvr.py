@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import eigh
+from scipy.linalg import eigh, eigh_tridiagonal
 
 from whqrom.dvr import (
     MAX_HERMITE_SEGMENT,
@@ -178,6 +178,11 @@ class TestRecursion:
         with pytest.raises(ShapeError):
             recursion_coeffs("legendre", 12, 8)
 
+    def test_unknown_kind(self):
+        # once a bare ValueError from the enum lookup
+        with pytest.raises(ConfigError, match="unsupported quadrature kind 'foo'"):
+            recursion_coeffs("foo", 8, 2)
+
     def test_hermite_segment_limit(self):
         # a 64-column Hermite segment rebuilt its columns with error 5.1e-3
         recursion_coeffs("legendre", 64, 64)
@@ -201,6 +206,104 @@ class TestRecursion:
             rebuilt = recursion_columns(coeffs, midpoint_columns(t, n), q.nodes)
             errs.append(np.max(np.abs(rebuilt - t.matrix)))
         assert errs[-1] < 1e-8
+
+
+def _general_recurrence(kind, n):
+    """Golub-Welsch data (alpha, beta, mu0) with the Jacobi diagonal alpha
+    kept, although it is zero for both even weights."""
+    j = np.arange(n, dtype=np.float64)
+    alpha = np.zeros(n)
+    if kind == "hermite":
+        return alpha, np.sqrt(j / 2.0), math.sqrt(math.pi)
+    beta = j / np.sqrt(4.0 * j * j - 1.0, where=j > 0, out=np.ones(n))
+    beta[0] = 0.0
+    return alpha, beta, 2.0
+
+
+def _general_polynomials(kind, n, x):
+    alpha, beta, mu0 = _general_recurrence(kind, n + 1)
+    out = np.empty((n, x.shape[0]))
+    out[0] = 1.0 / math.sqrt(mu0)
+    if n > 1:
+        out[1] = (x - alpha[0]) * out[0] / beta[1]
+    for j in range(2, n):
+        out[j] = ((x - alpha[j - 1]) * out[j - 1] - beta[j - 1] * out[j - 2]) / beta[j]
+    return out
+
+
+def _general_transform(kind, n):
+    """Nodes, weights, T, normalizers and max|T^T T - I| from the general
+    recurrence."""
+    alpha, beta, mu0 = _general_recurrence(kind, n)
+    nodes = np.array([alpha[0]]) if n == 1 else eigh_tridiagonal(alpha, beta[1:], eigvals_only=True)
+    polys = _general_polynomials(kind, n, nodes)
+    weights = 1.0 / np.sum(polys * polys, axis=0)
+    matrix = np.sqrt(weights)[:, None] * polys.T
+    normalizers = np.empty(n)
+    normalizers[0] = 1.0 / math.sqrt(mu0)
+    for j in range(1, n):
+        normalizers[j] = normalizers[j - 1] / beta[j]
+    gram_err = float(np.max(np.abs(matrix.T @ matrix - np.eye(n))))
+    return nodes, weights, matrix, normalizers, gram_err
+
+
+def _general_recursion(kind, n, segment, matrix, nodes):
+    """b_scaled, gamma and the rebuilt T of the segmented recursion
+    T[p, q+2] = (A_q + B_q x_p) T[p, q+1] + C_q T[p, q], A_q included."""
+    alpha, beta, _ = _general_recurrence(kind, n + 1)
+    qs = np.arange(max(n - 2, 0))
+    a_col = -alpha[qs + 1] / beta[qs + 2]
+    b_col = 1.0 / beta[qs + 2]
+    c_col = -beta[qs + 1] / beta[qs + 2]
+    a_scaled, b_scaled, gamma = np.zeros(n), np.zeros(n), np.ones(n)
+    scaled = np.zeros((n, n))
+    half = segment // 2
+    for seg_start in range(0, n, segment):
+        mid_hi = seg_start + half
+        mid_lo = mid_hi - 1
+        scaled[:, [mid_lo, mid_hi]] = matrix[:, [mid_lo, mid_hi]]
+        for q in range(mid_hi + 1, seg_start + segment):
+            gamma[q] = gamma[q - 2] / c_col[q - 2]
+            ratio = gamma[q] / gamma[q - 1]
+            a_scaled[q] = ratio * a_col[q - 2]
+            b_scaled[q] = ratio * b_col[q - 2]
+            scaled[:, q] = (a_scaled[q] + b_scaled[q] * nodes) * scaled[:, q - 1] + scaled[:, q - 2]
+        for q in range(mid_lo - 1, seg_start - 1, -1):
+            gamma[q] = gamma[q + 2] * c_col[q]
+            ratio = gamma[q + 2] / gamma[q + 1]
+            a_scaled[q] = -ratio * a_col[q]
+            b_scaled[q] = -ratio * b_col[q]
+            scaled[:, q] = (a_scaled[q] + b_scaled[q] * nodes) * scaled[:, q + 1] + scaled[:, q + 2]
+    return b_scaled, gamma, scaled / gamma[None, :]
+
+
+def _same_bytes(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize(
+    "kind,n",
+    [(kind, n) for kind in ("hermite", "legendre") for n in range(1, 65)]
+    + [("hermite", 128), ("hermite", 352), ("legendre", 128), ("legendre", 1024)],
+)
+def test_even_weight_recursion_matches_the_general_one(kind, n):
+    # dropping the zero Jacobi diagonal and A_q leaves every array's bytes;
+    # only the sign of a zero in the rebuilt columns may differ
+    nodes, weights, matrix, normalizers, gram_err = _general_transform(kind, n)
+    q = gauss_quadrature(kind, n)
+    t = build_transform(q)
+    assert _same_bytes(q.nodes, nodes) and _same_bytes(q.weights, weights)
+    assert _same_bytes(t.matrix, matrix) and _same_bytes(t.normalizers, normalizers)
+    assert _same_bytes(t.orthogonality_error, gram_err)
+    limit = MAX_HERMITE_SEGMENT if kind == "hermite" else n
+    segments = [s for s in (2 << i for i in range(10)) if s <= limit and n % s == 0]
+    for segment in segments:
+        b_scaled, gamma, rebuilt = _general_recursion(kind, n, segment, matrix, nodes)
+        coeffs = recursion_coeffs(kind, n, segment)
+        assert _same_bytes(coeffs.b_scaled, b_scaled) and _same_bytes(coeffs.gamma, gamma)
+        got = recursion_columns(coeffs, midpoint_columns(t, segment), q.nodes)
+        assert np.array_equal(got, rebuilt)
 
 
 class TestSchroedingerEquivalence:

@@ -809,6 +809,17 @@ def test_curve_takes_the_search_spectrum():
         truncation_error_curve(f, 4, spectrum=wht_forward(random_function(rng, 9, 13)))
 
 
+@pytest.mark.parametrize("upto", [-1, 17, 20])
+def test_curve_refuses_upto_outside_the_table(upto):
+    # on 16 samples upto = 20 once ended in an IndexError and upto = -1 in
+    # numpy's partition error
+    f = random_function(np.random.default_rng(101), 4, 8)
+    with pytest.raises(RangeError, match=rf"upto = {upto} outside \[0, 16\]"):
+        truncation_error_curve(f, upto=upto)
+    assert len(truncation_error_curve(f, upto=0)) == 1
+    assert len(truncation_error_curve(f, upto=16)) == 17
+
+
 class TestFileIngestion:
     def test_binary_round_trip(self, tmp_path):
         rng = np.random.default_rng(41)
