@@ -1,4 +1,4 @@
-"""Dense block encodings with verified sub-block identities, at desk scale.
+"""Block encodings with verified sub-block identities, at desk scale.
 
 Every construction returns a :class:`BlockEncodingResult` whose unitary U
 embeds the target operator A in its top-left block:
@@ -25,17 +25,20 @@ Each isometry's columns have pairwise disjoint supports of at most 2 rho
 entries (column j lives only at one system or index-register value), so it
 is completed to a unitary exactly by one Householder reflector per support
 and a unit column for every index outside all supports.  The isometries and
-their product stay sparse; the unitarity and residual checks run on the
-sparse product, and the stored unitary is its dense copy.  The fused
-diagonal rotation (two nonzeros per column) and the symmetry CSWAP
-reduction's [[S, D], [D, S]] are handed to the checks in sparse form too.
+their product stay sparse, and so do the fused diagonal rotation (two
+nonzeros per column) and the symmetry CSWAP reduction's [[S, D], [D, S]].
+A result keeps its unitary in the form the construction built and checked
+it in: sparse CSR for these four, a dense array for the LCU, the product
+and the rotation-free diagonal route.  ``.unitary`` is the one place that
+densifies, anew on each access, so a verified result holds memory in
+proportion to the nonzeros the construction worked in.
 """
 
 from __future__ import annotations
 
 import csv as _csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -88,26 +91,31 @@ def _check_dense_scale(total_qubits: int) -> None:
 
 @dataclass(frozen=True)
 class BlockEncodingResult:
-    """A verified dense block encoding.
+    """A verified block encoding.
 
     ``operator`` is the target the construction aimed at; ``residual`` is
     the max-norm error of zeta * top-left-block against it, and both the
     residual and the unitarity deviation are enforced at construction.
-    ``unitary`` may be given as a ``scipy.sparse`` matrix: both checks then
-    run on the sparse form, and the stored unitary is its dense copy.
+    ``unitary`` may be given dense or as a ``scipy.sparse`` matrix; both
+    checks run on the form given, and a sparse one is stored as CSR.  The
+    ``unitary`` attribute is a read-only dense array: the stored one, or
+    the stored CSR densified anew on each access and never cached, so hold
+    on to it only as long as it is needed.  :meth:`sub_block` slices the
+    stored form before it densifies.
     """
 
-    unitary: np.ndarray = field(repr=False)
+    unitary: InitVar[object]
     system_qubits: int
     ancilla_qubits: int
     zeta: float
     operator: np.ndarray = field(repr=False)
     residual: float = field(init=False)
     unitarity_deviation: float = field(init=False)
+    _stored: object = field(init=False, repr=False)
 
-    def __post_init__(self):
-        sparse = hasattr(self.unitary, "toarray")
-        u = self.unitary if sparse else np.asarray(self.unitary)
+    def __post_init__(self, unitary):
+        sparse = hasattr(unitary, "toarray")
+        u = unitary if sparse else np.asarray(unitary)
         op = np.asarray(self.operator)
         n = 1 << self.system_qubits
         dim = 1 << (self.system_qubits + self.ancilla_qubits)
@@ -122,27 +130,34 @@ class BlockEncodingResult:
 
             gram = u.conj().T @ u - sp.identity(dim, format="csr")
             gram_dev = float(abs(gram).max())
-            top_left = u[:n, :n].toarray()
+            u = u.tocsr()
         else:
             gram_dev = float(np.max(np.abs(u.conj().T @ u - np.eye(dim))))
-            top_left = u[:n, :n]
         if gram_dev > UNITARITY_TOL:
             raise ToleranceError(f"unitarity deviation {gram_dev:.3e} > {UNITARITY_TOL}")
-        res = float(np.max(np.abs(self.zeta * top_left - op)))
+        object.__setattr__(self, "_stored", u)
+        res = float(np.max(np.abs(self.zeta * self.sub_block() - op)))
         if res > RESIDUAL_TOL:
             raise ToleranceError(f"sub-block residual {res:.3e} > {RESIDUAL_TOL}")
-        if sparse:
-            u = u.toarray()
-        u.setflags(write=False)
+        if not sparse:
+            u.setflags(write=False)
         op.setflags(write=False)
-        object.__setattr__(self, "unitary", u)
         object.__setattr__(self, "operator", op)
         object.__setattr__(self, "residual", res)
         object.__setattr__(self, "unitarity_deviation", gram_dev)
 
+    def _dense(self) -> np.ndarray:
+        u = self._stored
+        if not hasattr(u, "toarray"):
+            return u
+        u = u.toarray()
+        u.setflags(write=False)
+        return u
+
     def sub_block(self) -> np.ndarray:
         n = 1 << self.system_qubits
-        return np.asarray(self.unitary[:n, :n])
+        block = self._stored[:n, :n]
+        return block.toarray() if hasattr(block, "toarray") else block
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,6 +168,13 @@ class BlockEncodingResult:
             "unitarityDeviation": self.unitarity_deviation,
             "dimension": 1 << self.system_qubits,
         }
+
+
+# An InitVar cannot share its name with a property in the class body (the
+# property would become its default), so the dense view is attached here.
+BlockEncodingResult.unitary = property(
+    BlockEncodingResult._dense, doc="The unitary as a read-only dense array."
+)
 
 
 @dataclass(frozen=True)
@@ -596,8 +618,9 @@ def symmetry_swap_reduction(
     products: SWAP acts on the inner (ancilla, system) index as the
     permutation p(a n + s) = a n + perm(s), so with M = U_eff[p][:, p] the
     unitary is [[S, D], [D, S]], S = (U_eff + M) / 2, D = (U_eff - M) / 2,
-    built and checked as a sparse matrix (U_eff is as sparse as its own
-    construction, and each column of U has at most twice its nonzeros).
+    built and checked as a sparse matrix (U_eff is read in the form
+    ``h_eff`` stores, as sparse as its own construction, and each column
+    of U has at most twice its nonzeros).
     That block form needs SWAP to be its own inverse, so the pairs must
     exchange two distinct system qubits each and share no qubit; anything
     else (a repeated, overlapping or self-pair) raises :class:`RangeError`.
@@ -624,7 +647,7 @@ def symmetry_swap_reduction(
     import scipy.sparse as sp
 
     inner = (np.arange(1 << h_eff.ancilla_qubits)[:, None] * n + perm).reshape(-1)
-    u_eff = sp.csr_matrix(h_eff.unitary)
+    u_eff = sp.csr_matrix(h_eff._stored)
     swapped = u_eff[inner][:, inner]
     same, differ = (u_eff + swapped) / 2, (u_eff - swapped) / 2
     unitary = sp.bmat([[same, differ], [differ, same]], format="csr")

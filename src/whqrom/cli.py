@@ -176,8 +176,9 @@ def cmd_compare(args) -> dict:
 def cmd_dvr_check(args) -> dict:
     # default: the largest power of two dividing n, at most the Hermite
     # limit for both families (it divides every n >= 1; gauss_quadrature
-    # refuses the rest); an explicit segment past the Hermite limit or not a
-    # power of two dividing n is refused before any array is built
+    # refuses the rest); an explicit segment below 2 (which leaves no
+    # column to rebuild), past the Hermite limit or not a power of two
+    # dividing n is refused before any array is built
     max_segment = dvr.MAX_HERMITE_SEGMENT
     segment = min(max_segment, args.n & -args.n) if args.segment is None else args.segment
     if args.kind == "hermite" and segment > max_segment:
@@ -185,8 +186,8 @@ def cmd_dvr_check(args) -> dict:
             f"--segment {segment} exceeds the Hermite limit MAX_HERMITE_SEGMENT = {max_segment}"
         )
     if args.segment is not None:
-        if segment < 1:
-            raise ConfigError(f"--segment must be at least 1, got {segment}")
+        if segment < 2:
+            raise ConfigError(f"--segment must be at least 2, got {segment}")
         if args.n % segment or segment & (segment - 1):
             raise ConfigError(f"--segment {segment} must be a power of two dividing n")
     quad = dvr.gauss_quadrature(args.kind, args.n)

@@ -19,7 +19,10 @@ holds the wire text) at eta 12 and 18 and ``compare`` at eta 18, on the
 same surfaces with digits 15 and epsilon 2^-6 and 2^-10; ``dvr-check`` for
 Hermite and Legendre at n 32 with the default segment, and at n 16, 48 and
 64 with ``--segment`` 1, 2, 4, ... up to n (for Hermite, past 32 only the
-refused 64 at n 64); and ``blockenc-verify`` at seeds 0-3.
+refused 64 at n 64); and ``blockenc-verify`` at seeds 0-3 and with
+``--input`` on three coordinate-list matrices (:data:`COO_MATRICES`).
+An entry's input file (``spec.yaml`` or ``matrix.csv``) is written into its
+output directory, and ``{input}`` in its argv stands for that file.
 """
 
 from __future__ import annotations
@@ -74,15 +77,44 @@ SPECS = [
 ]
 
 
+def _tridiagonal(n: int) -> dict:
+    """Diagonal 1 + k/n and off-diagonals -(k + 1)/(2n): signed, distinct."""
+    entries = {(k, k): 1.0 + k / n for k in range(n)}
+    for k in range(n - 1):
+        entries[k, k + 1] = entries[k + 1, k] = -(k + 1) / (2.0 * n)
+    return entries
+
+
+def _scattered_16() -> dict:
+    """A 16 x 16 diagonal of both signs, five symmetric off-diagonal pairs
+    and one explicit 0.0 (which the reader keeps out of the pattern)."""
+    entries = {(k, k): (-1.0) ** k * (0.25 + k / 16.0) for k in range(16)}
+    for (r, c), v in {(0, 9): 0.75, (2, 13): -0.5, (4, 5): 0.125, (7, 15): -0.875,
+                      (10, 11): 0.375}.items():
+        entries[r, c] = entries[c, r] = v
+    entries[3, 3] = 0.0
+    return entries
+
+
+#: ``blockenc-verify --input`` matrices: (name, {(row, col): value}); the
+#: last one is at ``blockenc.MAX_COO_DIM``.
+COO_MATRICES = [
+    ("tridiagonal_8", _tridiagonal(8)),
+    ("scattered_16", _scattered_16()),
+    ("tridiagonal_32", _tridiagonal(32)),
+]
+
+
 def entries() -> list:
-    """(name, argv after --out, spec or None) in run order."""
+    """(name, argv after --out, input file as (name, text) or None) in run order."""
     out = []
     for name, spec in SPECS:
         for backend in ("SELECT_SWAP", "WH"):
             for strategy in ("all", "FULL_DVR", "LCU_FBR"):
-                argv = ["molham", "--config", "{spec}", "--backend", backend,
+                argv = ["molham", "--config", "{input}", "--backend", backend,
                         "--strategy", strategy]
-                out.append((f"molham_{name}_{backend}_{strategy}", argv, spec))
+                out.append((f"molham_{name}_{backend}_{strategy}", argv,
+                            ("spec.yaml", _spec_yaml(spec))))
     out.append((
         "molham_sweep",
         ["molham", "--sweep", "6", "8", "--sweep-eps", "6", "10"],
@@ -112,7 +144,15 @@ def entries() -> list:
                 out.append((f"dvr-check_{kind}_{n}_{segment}", argv, None))
     for seed in range(4):
         out.append((f"blockenc-verify_{seed}", ["--seed", str(seed), "blockenc-verify"], None))
+    for name, matrix in COO_MATRICES:
+        argv = ["blockenc-verify", "--input", "{input}"]
+        out.append((f"blockenc-verify_input_{name}", argv, ("matrix.csv", coo_csv(matrix))))
     return out
+
+
+def coo_csv(matrix: dict) -> str:
+    """One ``row,col,value`` line per entry, in the mapping's order."""
+    return "".join(f"{r},{c},{v!r}\n" for (r, c), v in matrix.items())
 
 
 def _spec_yaml(spec: dict) -> str:
@@ -132,14 +172,16 @@ def run(out_dir, selected=None) -> list:
     # BLAS rounds by thread count, and the molham levels come from dense eigh
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
     codes = []
-    for name, argv, spec in entries()[:selected]:
+    for name, argv, given in entries()[:selected]:
         where = out_dir / name
         where.mkdir(parents=True, exist_ok=True)
-        if spec is not None:
-            (where / "spec.yaml").write_text(_spec_yaml(spec))
+        path = None
+        if given is not None:
+            path = where / given[0]
+            path.write_text(given[1])
         proc = subprocess.run(
             [sys.executable, "-m", "whqrom.cli", "--out", str(where),
-             *(a.format(spec=where / "spec.yaml") for a in argv)],
+             *(a.format(input=path) for a in argv)],
             env=env, capture_output=True, text=True, timeout=600,
         )
         text = (

@@ -1,7 +1,10 @@
+import gc
+import importlib.util
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +450,35 @@ def _swap_cases():
                 yield h_eff, pairs
 
 
+def _swap_cases_and_round():
+    yield from _swap_cases()
+    rng = np.random.default_rng(43)
+    for n in (4, 8, 16):
+        # the round's exchange-symmetric H_eff; its largest entry leaves an
+        # explicit zero in the stored rotation
+        eta = n.bit_length() - 1
+        h_eff = dsparse_fused_diagonal(np.kron(rng.uniform(-1, 1, size=n), np.ones(n)))
+        yield h_eff, [(q, q + eta) for q in range(eta)]
+
+
+def swap_reduction_from_dense(h_eff, swap_pairs):
+    """symmetry_swap_reduction as it was built from sp.csr_matrix of the dense U_eff."""
+    n = 1 << h_eff.system_qubits
+    perm = _swap_permutation(n, swap_pairs)
+    inner = (np.arange(1 << h_eff.ancilla_qubits)[:, None] * n + perm).reshape(-1)
+    u_eff = sp.csr_matrix(h_eff.unitary)
+    swapped = u_eff[inner][:, inner]
+    same, differ = (u_eff + swapped) / 2, (u_eff - swapped) / 2
+    op = np.asarray(h_eff.operator)
+    return BlockEncodingResult(
+        unitary=sp.bmat([[same, differ], [differ, same]], format="csr"),
+        system_qubits=h_eff.system_qubits,
+        ancilla_qubits=1 + h_eff.ancilla_qubits,
+        zeta=2.0 * h_eff.zeta,
+        operator=op + op[perm][:, perm],
+    )
+
+
 class TestSymmetrySwap:
     @pytest.mark.parametrize("h_eff, pairs", list(_swap_cases()))
     def test_index_form_matches_dense_products(self, h_eff, pairs):
@@ -835,3 +867,138 @@ class TestAgainstInlineConstructions:
     def test_dsparse(self, build, oracle, pattern, rho, n):
         a = SparseOracle.from_dense(pattern(np.random.default_rng(3 * n + rho), n, rho), rho=rho)
         assert_same_encoding(build(a), oracle(a))
+
+
+# ---------------------------------------------------------------------------
+# The form a result stores, and the dense copy .unitary builds from it
+# ---------------------------------------------------------------------------
+
+
+def _report_corpus():
+    path = Path(__file__).parent / "report_corpus.py"
+    spec = importlib.util.spec_from_file_location("report_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(corpus)
+    return corpus
+
+
+_CORPUS = _report_corpus()
+#: blockenc-verify runs: the corpus's seeds and its COO matrices
+_VERIFY_CASES = [pytest.param(["--seed", str(seed)], None, id=f"seed {seed}") for seed in range(4)] + [
+    pytest.param([], _CORPUS.coo_csv(matrix), id=name) for name, matrix in _CORPUS.COO_MATRICES
+]
+
+
+def recorded_results(monkeypatch):
+    """Every result the constructions build, beside what each was handed:
+    the sparse matrix itself, or a copy of the dense array."""
+    made = []
+    real = BlockEncodingResult
+
+    def record(unitary, **kwargs):
+        given = unitary if sp.issparse(unitary) else np.array(unitary)
+        result = real(unitary=unitary, **kwargs)
+        made.append((result, given))
+        return result
+
+    monkeypatch.setattr(blockenc, "BlockEncodingResult", record)
+    return made
+
+
+def benchmark_round(n=16, seed=1):
+    """One round of every construction, as the benchmark's verify workload builds it."""
+    rng = np.random.default_rng(seed)
+    eta = n.bit_length() - 1
+    d1, d2 = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+    tri = np.diag(rng.uniform(0.2, 1, size=n))
+    off = rng.uniform(-0.8, 0.8, size=n - 1)
+    tri[np.arange(n - 1), np.arange(1, n)] = off
+    tri[np.arange(1, n), np.arange(n - 1)] = off
+    table = list(rng.integers(0, 8, size=4))
+    h_eff = dsparse_fused_diagonal(np.repeat(rng.uniform(-1, 1, size=n), n))
+    part, second = dsparse_fused_diagonal(d1), dsparse_fused_diagonal(d2)
+    oracle = SparseOracle.from_dense(tri, rho=3)
+    return [
+        part,
+        dsparse_standard(oracle),
+        dsparse_fused(oracle),
+        lcu_sum([part, second]),
+        product_be(part, second),
+        diag_no_rotation(table, exact_table_qrom(table, eta=2, d=3), d=3),
+        symmetry_swap_reduction(h_eff, [(q, q + eta) for q in range(eta)]),
+    ]
+
+
+class TestStoredForm:
+    @pytest.mark.parametrize("options, coo", _VERIFY_CASES)
+    def test_unitary_equals_the_dense_copy_of_what_was_built(self, tmp_path, monkeypatch, options, coo):
+        from whqrom.cli import main
+
+        argv = ["--out", str(tmp_path), *options, "blockenc-verify"]
+        if coo is not None:
+            (tmp_path / "matrix.csv").write_text(coo)
+            argv += ["--input", str(tmp_path / "matrix.csv")]
+        made = recorded_results(monkeypatch)
+        assert main(argv) == 0
+        assert made
+        for result, given in made:
+            u = result.unitary
+            assert type(u) is np.ndarray and not u.flags.writeable
+            assert u.dtype == given.dtype and u.shape == given.shape
+            # row blocks, so the 4096 x 4096 standard encoding at MAX_COO_DIM
+            # is densified once, not twice
+            for start in range(0, u.shape[0], 512):
+                rows = given[start : start + 512]
+                assert np.array_equal(u[start : start + 512], rows.toarray() if sp.issparse(rows) else rows)
+            del u
+
+    def test_each_construction_keeps_the_form_it_built(self):
+        sparse_built = {0, 1, 2, 6}  # fused diagonal, standard, fused, symmetry swap
+        for index, result in enumerate(benchmark_round(n=4)):
+            stored = result._stored
+            if index in sparse_built:
+                assert sp.issparse(stored) and stored.format == "csr"
+                first, again = result.unitary, result.unitary
+                assert first is not again and np.array_equal(first, again)
+                assert not first.flags.writeable and not again.flags.writeable
+            else:
+                assert type(stored) is np.ndarray and result.unitary is stored
+            n = 1 << result.system_qubits
+            assert np.array_equal(result.sub_block(), result.unitary[:n, :n])
+
+    @pytest.mark.parametrize("h_eff, pairs", list(_swap_cases_and_round()))
+    def test_swap_reduction_reads_the_stored_form(self, monkeypatch, h_eff, pairs):
+        expected = swap_reduction_from_dense(h_eff, pairs)
+        reads = []
+        dense = BlockEncodingResult.unitary
+
+        def counted(result):
+            reads.append(result)
+            return dense.fget(result)
+
+        monkeypatch.setattr(BlockEncodingResult, "unitary", property(counted))
+        result = symmetry_swap_reduction(h_eff, pairs)
+        assert not reads
+        monkeypatch.undo()
+        assert np.array_equal(result.unitary, expected.unitary)
+        assert result.residual == expected.residual
+        assert result.unitarity_deviation == expected.unitarity_deviation
+        assert np.array_equal(result.operator, expected.operator)
+
+    def test_round_memory(self):
+        benchmark_round()  # imports and first-call caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            results = benchmark_round()
+            retained, peak = (m - base for m in tracemalloc.get_traced_memory())
+            dims = [result.unitary.shape[0] for result in results]
+            after_reads = tracemalloc.get_traced_memory()[0] - base
+        finally:
+            tracemalloc.stop()
+        assert retained <= 2 << 20, f"{retained / 2**20:.2f} MiB retained"
+        assert peak <= 4 << 20, f"{peak / 2**20:.2f} MiB peak"
+        # the smallest dense copy of a sparse-built result here is 8 KiB
+        assert after_reads <= retained + 4096, f"{(after_reads - retained) / 2**10:.1f} KiB"
+        assert dims == [32, 1024, 512, 64, 64, 128, 1024]

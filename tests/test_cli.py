@@ -180,7 +180,7 @@ class TestDvrCheck:
         # 0 once fell back to the default segment and exited 0
         assert run(tmp_path, "dvr-check", "--n", "16", "--segment", "0") == 2
         err = capsys.readouterr().err
-        assert "--segment must be at least 1, got 0" in err and "Traceback" not in err
+        assert "--segment must be at least 2, got 0" in err and "Traceback" not in err
         assert not (tmp_path / "dvr_check.json").exists()
 
     @pytest.mark.parametrize(
@@ -223,7 +223,10 @@ class TestDvrCheck:
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (["--segment", "0"], "--segment must be at least 1, got 0"),
+            (["--segment", "0"], "--segment must be at least 2, got 0"),
+            # segment 1 rebuilds no column, so its recursionError was a vacuous 0.0
+            (["--kind", "hermite", "--n", "16", "--segment", "1"], "--segment must be at least 2, got 1"),
+            (["--kind", "legendre", "--n", "16", "--segment", "1"], "--segment must be at least 2, got 1"),
             (["--n", "16", "--segment", "3"], "--segment 3 must be a power of two dividing n"),
             (["--n", "12", "--segment", "8"], "--segment 8 must be a power of two dividing n"),
         ],
