@@ -31,6 +31,7 @@ constants.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field, fields
 from typing import Callable, Sequence
@@ -296,32 +297,82 @@ class Term:
     name: str
     factors: tuple  # one entry per mode, np.ndarray or None
 
-    def factor(self, i: int, dims: Sequence[int]) -> np.ndarray:
-        f = self.factors[i]
-        return np.eye(dims[i]) if f is None else np.asarray(f)
+
+def _modes(term: Term) -> list:
+    """Each factor of a term as (diagonal, full): (None, None) for an
+    identity, and full None for a factor with no nonzero off-diagonal
+    entry, which acts as its diagonal."""
+    out = []
+    for f in term.factors:
+        diag = None if f is None else np.diag(f)
+        full = diag is not None and np.count_nonzero(f - np.diag(diag))
+        out.append((diag, np.asarray(f) if full else None))
+    return out
+
+
+def _kron_product(parts: Sequence, pairs: Sequence[bool], out: np.ndarray, rows=slice(None)):
+    """One term's Kronecker product into ``out``, a block with axes (i_m,
+    j_m) for a mode in ``pairs`` and one axis i_m = j_m for another mode,
+    over ``rows`` of i_0.  A paired mode's part is n x n, another's its
+    diagonal; None, an identity, is left out, as np.kron multiplies by its
+    entry, exactly 1.0.  The association is np.kron's, F_0 (F_1 (...
+    (F_last 1.0))), so each entry has np.kron's bits."""
+    axes = len(pairs) + sum(pairs)
+    views, at = [], 0
+    for m, (part, p) in enumerate(zip(parts, pairs)):
+        if part is not None:
+            part = part[rows] if m == 0 else part
+            shape = [1] * axes
+            shape[at : at + 1 + p] = part.shape
+            views.append(part.reshape(shape))
+        at += 1 + p
+    inner = 1.0
+    for view in reversed(views[1:]):
+        inner = view * inner
+    return np.multiply(views[0] if views else 1.0, inner, out=out)
 
 
 def assemble_dense(terms: Sequence[Term], dims: Sequence[int]) -> np.ndarray:
-    total = 1
-    for n in dims:
-        total *= n
+    """The dense sum of the terms' Kronecker products, in term order.
+
+    Each term is added into one strided view of H as the tensor over (i_0
+    .. i_{k-1}, j_0 .. j_{k-1}): a mode where its factor is an identity or
+    diagonal is one axis i_m = j_m, of stride s_i + s_j, and a full mode
+    keeps both axes.  np.kron sets the entries left out to +-0, and a sum
+    from +0.0 never reaches -0.0, so adding them changes no bit: with
+    _kron_product's bits, H equals the np.kron sum byte for byte.
+    """
+    dims = tuple(dims)
+    total = math.prod(dims)
     out = np.zeros((total, total))
-    for term in terms:
-        block = np.ones((1, 1))
-        for i in range(len(dims) - 1, -1, -1):
-            block = np.kron(term.factor(i, dims), block)
-        out += block
+    col = [math.prod(dims[m + 1 :]) * out.itemsize for m in range(len(dims))]  # s_j; s_i = N s_j
+    for modes in map(_modes, terms):
+        pairs = [full is not None for _, full in modes]
+        shape, strides = [], []
+        for n, s, p in zip(dims, col, pairs):
+            shape += [n, n] if p else [n]
+            strides += [total * s, s] if p else [(total + 1) * s]
+        view = np.lib.stride_tricks.as_strided(out, shape, strides, writeable=True)
+        # through a buffer, freed before the next term's: numpy cannot prove
+        # quickly that the view does not overlap itself, so += would copy it
+        summed = _kron_product([d if f is None else f for d, f in modes], pairs, np.empty(shape))
+        np.copyto(view, np.add(view, summed, out=summed))
+        del summed
     return out
 
 
 def frobenius_sq(terms: Sequence[Term], dims: Sequence[int]) -> float:
-    """Tr(H^2) via factorized traces: Tr prod kron = prod Tr."""
+    """Tr(H^2) via factorized traces: Tr prod kron = prod Tr, with Tr(I I) =
+    n and Tr(I B) = Tr(B I) = Tr(B) exactly, not multiplied out."""
     total = 0.0
     for ta in terms:
         for tb in terms:
             prod = 1.0
-            for i in range(len(dims)):
-                prod *= float(np.trace(ta.factor(i, dims) @ tb.factor(i, dims)))
+            for n, fa, fb in zip(dims, ta.factors, tb.factors):
+                if fa is None or fb is None:
+                    prod *= float(n if fa is fb else np.trace(fb if fa is None else fa))
+                else:
+                    prod *= float(np.trace(np.asarray(fa) @ np.asarray(fb)))
             total += prod
     return total
 
@@ -348,12 +399,10 @@ def sop_operator(terms: Sequence[Term], dims: Sequence[int]) -> Callable[[np.nda
     plan = []
     for term in terms:
         steps = []  # (diagonal, None, None, None) or (f, moved order, moved shape, inverse order)
-        for i, f in enumerate(term.factors):
-            if f is None:
+        for i, (diag, f) in enumerate(_modes(term)):
+            if diag is None:
                 continue
-            f = np.asarray(f)
-            diag = np.diag(f)
-            if not np.count_nonzero(f - np.diag(diag)):
+            if f is None:
                 shape = [1] * len(dims)
                 shape[i] = dims[i]
                 steps.append((diag.reshape(shape), None, None, None))
@@ -383,45 +432,45 @@ def sop_operator(terms: Sequence[Term], dims: Sequence[int]) -> Callable[[np.nda
 def sop_max_abs(terms: Sequence[Term], dims: Sequence[int]) -> float:
     """max |H_ij| of the term sum without assembling H.
 
-    H is built one row block per first-mode index: each block adds the same
-    Kronecker products as assemble_dense, in its term order.  A product
-    whose first-mode entry is zero only adds zeros (x + 0.0 == x up to the
-    sign of zero), so it is skipped, and so are the zero entries of each
-    term's inner block (the Kronecker product of its other modes, mostly
-    identities and diagonals, a few per cent nonzero on water grids): a
-    block at most half nonzero is added at its nonzeros only, by flat
-    index, and a denser one whole, by column slices.  The dense blocks are
-    the inner factors of two-mode chains, where adding them by flat index
-    too is 2-3 times slower (coupled chains, one BLAS thread, medians:
-    32x64 66 ms against 26 ms, 64x64 241 ms against 94 ms).  The result
-    equals np.max(np.abs(assemble_dense(terms, dims))) exactly.
+    The entries of H are split by the set S of modes where i_m != j_m.  An
+    identity or diagonal is zero off its diagonal, so S's block sums, in
+    term order, the products over the terms full on every mode in S of
+    their off-diagonal parts on S and diagonals elsewhere; its entries with
+    i_m = j_m for an m in S are 0 and belong to a smaller S.  Each entry
+    sums the products assemble_dense adds, in its order, less terms of +-0,
+    which can only flip the sign of a zero: the result equals
+    np.max(np.abs(assemble_dense(terms, dims))) exactly.  A block is built
+    in slices along i_0 of at most prod(dims[1:]) rows of H each, the first
+    product in place and each later one through a second buffer.
     """
-    width = math.prod(dims[1:])
-    span = dims[0] * width
-    inner = []
-    for term in terms:
-        block = np.ones((1, 1))
-        for i in range(len(dims) - 1, 0, -1):
-            block = np.kron(term.factor(i, dims), block)
-        at = None
-        bi, bj = np.nonzero(block)
-        if 2 * bi.size <= block.size:
-            block, at = block[bi, bj], bi * span + bj
-        inner.append((term.factor(0, dims), block, at))
-    rows = np.empty((width, span))
-    flat = rows.reshape(-1)
+    dims = tuple(dims)
+    limit = math.prod(dims[1:]) * math.prod(dims)
+    modes = [_modes(term) for term in terms]
     best = 0.0
-    for r in range(dims[0]):
-        rows[:] = 0.0
-        for first, block, at in inner:
-            cols = np.flatnonzero(first[r])
-            if at is None:
-                for c in cols:
-                    rows[:, c * width : (c + 1) * width] += first[r, c] * block
-            else:
-                where = (at + width * cols[:, None]).reshape(-1)
-                flat[where] += (first[r, cols][:, None] * block).reshape(-1)
-        best = max(best, float(np.max(np.abs(rows))))
+    for pairs in itertools.product((False, True), repeat=len(dims)):
+        block_terms = [
+            [full - np.diag(diag) if p else diag for (diag, full), p in zip(term, pairs)]
+            for term in modes
+            if all(full is not None for (_, full), p in zip(term, pairs) if p)
+        ]
+        if block_terms:
+            shape = [n for n, p in zip(dims, pairs) for n in (n,) * (1 + p)]
+            best = max(best, _block_max_abs(block_terms, pairs, shape, limit))
+    return best
+
+
+def _block_max_abs(block_terms: list, pairs: tuple, shape: list, limit: int) -> float:
+    """max |.| of one block of sop_max_abs, in slices of at most limit floats."""
+    rows = max(1, limit * shape[0] // math.prod(shape))
+    acc = np.empty((min(rows, shape[0]), *shape[1:]))
+    spare = np.empty_like(acc) if len(block_terms) > 1 else None
+    best = 0.0
+    for r in range(0, shape[0], rows):
+        block, at = acc[: shape[0] - r], slice(r, r + rows)
+        _kron_product(block_terms[0], pairs, block, at)
+        for parts in block_terms[1:]:
+            np.add(block, _kron_product(parts, pairs, spare[: len(block)], at), out=block)
+        best = max(best, float(np.max(np.abs(block, out=block))))
     return best
 
 
@@ -469,13 +518,18 @@ class WaterSystem:
         to either exchange-symmetry sector.  Dense eigh costs about n^3 and
         nothing per level, Lanczos grows with the level count; on water
         grids with one BLAS thread (h_dvr + eigh against Lanczos, medians
-        in seconds) the cheaper side switches at about 4 levels for n =
-        512 (0.033 dense, 0.040 at 8 levels), 14 for 640, 22 for 768
-        (0.067 dense, 0.037 at 8 levels), 55 for 1024, 70 for 1200, 100
-        for 1600, 120 for 2016 (1.00 dense, 0.11 at 8 levels, 0.74 at 100)
-        and 150 for 3136 (3.44 dense, 0.17 at 8 levels, 2.89 at 140, 3.77
-        at 160).  The rule is a line fitted to the low end, 512-768 points.
-        The measured switch is not a line: between about 1000 and 2016
+        in seconds) the cheaper side switches at about 1 level for n = 512
+        (0.018 dense, 0.025 at 4 levels), 5 for 640 (0.029 dense), 19 for
+        768 (0.047 dense, 0.045 at 18 levels, 0.055 at 20), 55 for 1024, 70
+        for 1200, 100 for 1600, 120 for 2016 (1.00 dense, 0.11 at 8 levels,
+        0.74 at 100) and 150 for 3136 (3.44 dense, 0.17 at 8 levels, 2.89 at
+        140, 3.77 at 160).  The figures from 1024 points up were taken with
+        h_dvr built from Kronecker products (0.025 s at 1024 points, 0.094
+        s at 2016; now 0.003 and 0.008 s), so they put the switch a little
+        late.  The rule is a line fitted to the low end, 512-768 points,
+        with that build, which made the dense side 20-30 % dearer there: it
+        now keeps Lanczos some levels past the switch, up to 4 levels at
+        512 points, 13 at 640 and 22 at 768.  Between about 1000 and 2016
         points the rule picks dense eigh some levels early (from 42 levels
         at 1024 against 55, from 112 at 2016 against 120), and at 3136
         points it keeps Lanczos for 150-191 levels, where dense eigh is
@@ -704,14 +758,8 @@ def _term_max_norm(term: Term, dims: Sequence[int]) -> float:
 
 
 def _term_sparsity(term: Term, dims: Sequence[int]) -> int:
-    rho = 1
-    for i, f in enumerate(term.factors):
-        if f is None:
-            continue
-        f = np.asarray(f)
-        if np.count_nonzero(f - np.diag(np.diag(f))):
-            rho *= int(np.max(np.count_nonzero(f, axis=1)))
-    return rho
+    full = [f for _, f in _modes(term) if f is not None]
+    return math.prod(int(np.max(np.count_nonzero(f, axis=1))) for f in full)
 
 
 def momentum_zeta_radial(mode: RadialMode) -> float:
@@ -850,11 +898,12 @@ def norm_estimates(system: WaterSystem, strategy: str) -> NormEstimate:
 
 
 def full_dvr_sparsity(spec: ToyMoleculeSpec) -> int:
-    """Nonzeros per row of the water DVR Hamiltonian:
-    n_R^2 + 2 n_R n_theta - 2 n_R - n_theta + 1."""
+    """Nonzeros per row of the water DVR Hamiltonian: n_1 n_2 stretch pairs
+    at j_theta = i_theta, and n_1 + n_2 - 1 (both kept or one moved) at
+    each other j_theta."""
     if spec.has_bend:
-        n_r, _, n_th = spec.basis_sizes
-        return n_r * n_r + 2 * n_r * n_th - 2 * n_r - n_th + 1
+        n_1, n_2, n_th = spec.basis_sizes
+        return n_1 * n_2 + (n_th - 1) * (n_1 + n_2 - 1)
     sizes = spec.basis_sizes
     if len(sizes) == 1:
         return sizes[0]

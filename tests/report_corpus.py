@@ -10,7 +10,7 @@ and the source directory as ``<src>``.  A refactor that must keep every
 report unchanged runs this script in a checkout of the parent and in the
 change and compares the two with ``diff -r``.
 
-The corpus holds ``molham`` on eight specs under both backends with
+The corpus holds ``molham`` on ten specs under both backends with
 ``--strategy all``, ``FULL_DVR`` and ``LCU_FBR``, plus one ``--sweep`` run;
 ``wht-analyze`` and ``compare`` on the harmonic, Morse and wells surfaces
 at eta 8 and 12 (``compare`` also at eta 16), digits 8, 15, 24 and 33 and
@@ -64,11 +64,14 @@ def _radial(sizes, **extra) -> dict:
 
 
 #: molham specs: (name, YAML mapping); an asymmetric water spec makes the
-#: reduced strategies exit 2.
+#: reduced strategies exit 2.  16x16x16 is the largest grid whose FULL_DVR
+#: max|H| is exact.
 SPECS = [
     ("water_8x8x8", _water()),
     ("water_8x8x16_j2", _water(n_th=16, theta_max=2.5, j_total=2)),
     ("water_12x12x14", _water(12, 12, 14)),
+    ("water_8x16x8", _water(8, 16, 8)),
+    ("water_16x16x16", _water(16, 16, 16)),
     ("water_16x16x8_j1", _water(16, 16, 8, theta_max=2.0, j_total=1)),
     ("water_asym_masses", _water(masses=(0.948, 1.896))),
     ("radial_32", _radial((32,))),

@@ -1,11 +1,14 @@
+import hashlib
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import eigh
 
 from whqrom.errors import ConfigError, FitError, GridError, RangeError, ScaleError
@@ -23,6 +26,7 @@ from whqrom.molham import (
     discretization_bound_check,
     fit_scaling,
     frobenius_sq,
+    full_dvr_sparsity,
     momentum_zeta_bend,
     momentum_zeta_radial,
     norm_estimates,
@@ -36,6 +40,36 @@ from whqrom.molham import (
     water_spec,
 )
 from whqrom.qrom import CostReport
+
+
+def factor(term, i, dims) -> np.ndarray:
+    """A term's factor on mode i, with an identity written out."""
+    f = term.factors[i]
+    return np.eye(dims[i]) if f is None else np.asarray(f)
+
+
+def kron_dense(terms, dims) -> np.ndarray:
+    """The Kronecker-product assembly: one np.kron block per term, added in
+    term order; the oracle of assemble_dense and sop_max_abs."""
+    out = np.zeros((math.prod(dims),) * 2)
+    for term in terms:
+        block = np.ones((1, 1))
+        for i in range(len(dims) - 1, -1, -1):
+            block = np.kron(factor(term, i, dims), block)
+        out += block
+    return out
+
+
+def loop_frobenius_sq(terms, dims) -> float:
+    """Tr(H^2) with every identity multiplied out; the oracle of frobenius_sq."""
+    total = 0.0
+    for ta in terms:
+        for tb in terms:
+            prod = 1.0
+            for i in range(len(dims)):
+                prod *= float(np.trace(factor(ta, i, dims) @ factor(tb, i, dims)))
+            total += prod
+    return total
 
 
 def h_fbr(system) -> np.ndarray:
@@ -136,8 +170,8 @@ class TestWaterHamiltonian:
             for term in terms:
                 block = np.ones((1, 1), dtype=object)
                 for i in range(len(dims) - 1, -1, -1):
-                    factor = np.vectorize(Fraction, otypes=[object])(term.factor(i, dims))
-                    block = np.kron(factor, block)
+                    exact = np.vectorize(Fraction, otypes=[object])(factor(term, i, dims))
+                    block = np.kron(exact, block)
                 total = total + block
             return total
 
@@ -318,15 +352,6 @@ class TestMatrixFree:
             small_system.eigenvalues(0)
 
     @pytest.mark.parametrize(
-        "spec, decoupled", MATRIX_FREE_SYSTEMS + [(water_spec(n_r=12, n_theta=14), False)]
-    )
-    def test_row_block_norm_equals_dense(self, spec, decoupled):
-        system = water_hamiltonian(spec, decoupled=decoupled)
-        for terms in (system.terms, system.terms_eff):
-            dense = float(np.max(np.abs(assemble_dense(terms, system.dims))))
-            assert sop_max_abs(terms, system.dims) == dense
-
-    @pytest.mark.parametrize(
         "spec, decoupled",
         MATRIX_FREE_SYSTEMS
         + [
@@ -347,6 +372,114 @@ class TestMatrixFree:
         assert np.allclose(want, system.h_dvr() @ vec, rtol=0, atol=1e-12)
         want_eff = _tensordot_matvec(system.terms_eff, system.dims, vec)
         assert sop_operator(system.terms_eff, system.dims)(vec).tobytes() == want_eff.tobytes()
+
+
+#: Specs whose dense H is checked against the Kronecker oracle: the
+#: matrix-free ones, unequal stretches, and 16x16x16, the largest grid whose
+#: FULL_DVR max|H| is exact.
+ORACLE_SPECS = [spec for spec, decoupled in MATRIX_FREE_SYSTEMS if not decoupled] + [
+    water_spec(n_r=12, n_theta=14),
+    replace(water_spec(), basis_sizes=(8, 16, 8)),
+    water_spec(n_r=16, n_theta=16),
+]
+
+
+def _digest(a: np.ndarray) -> str:
+    """The bytes of a C-contiguous array, hashed without a copy (a 4096-point
+    H is 128 MiB)."""
+    return hashlib.sha256(a.data).hexdigest()
+
+
+def _peak_bytes(f, *args) -> int:
+    f(*args)  # first-call set-up is not the call's memory
+    tracemalloc.start()
+    try:
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_VALUES = st.sampled_from([0.0, -0.0]) | st.floats(-8.0, 8.0, allow_nan=False)
+
+
+@st.composite
+def _factor_lists(draw):
+    """(terms, dims): 1-4 terms on 1-3 modes of 1-5 points, each factor an
+    identity, a diagonal, a full matrix, a full matrix with a zero
+    off-diagonal (of either sign) or all zero, with entries that include
+    -0.0."""
+    dims = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=3)))
+
+    def entries(n):
+        return np.array(draw(st.lists(_VALUES, min_size=n, max_size=n)))
+
+    def one(n):
+        kind = draw(st.sampled_from(["identity", "diagonal", "full", "zero_off", "zero"]))
+        if kind == "identity":
+            return None
+        if kind == "diagonal":
+            return np.diag(entries(n))
+        f = entries(n * n).reshape(n, n)
+        if kind == "zero_off":
+            f[~np.eye(n, dtype=bool)] = draw(st.sampled_from([0.0, -0.0]))
+        return np.zeros((n, n)) if kind == "zero" else f
+
+    count = draw(st.integers(1, 4))
+    return [molham.Term(f"t{k}", tuple(one(n) for n in dims)) for k in range(count)], dims
+
+
+class TestDenseAlgebra:
+    @pytest.mark.parametrize("spec", ORACLE_SPECS)
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_dense_and_max_norm_equal_the_kron_oracle(self, spec, decoupled):
+        system = water_hamiltonian(spec, decoupled=decoupled)
+        for terms in (system.terms, system.terms_eff):
+            oracle = kron_dense(terms, system.dims)
+            want, want_max = _digest(oracle), max(float(np.max(oracle)), -float(np.min(oracle)))
+            del oracle
+            assert _digest(assemble_dense(terms, system.dims)) == want
+            assert sop_max_abs(terms, system.dims) == want_max
+
+    @settings(max_examples=100, deadline=None)
+    @given(_factor_lists())
+    def test_term_algebra_equals_its_oracles(self, case):
+        terms, dims = case
+        oracle = kron_dense(terms, dims)
+        assert assemble_dense(terms, dims).tobytes() == oracle.tobytes()
+        assert sop_max_abs(terms, dims) == float(np.max(np.abs(oracle)))
+        assert frobenius_sq(terms, dims) == loop_frobenius_sq(terms, dims)
+
+    @pytest.mark.parametrize("n_r, n_theta", [(8, 8), (12, 14), (16, 32)])
+    @pytest.mark.parametrize("decoupled", [False, True])
+    def test_frobenius_equals_the_identity_loop(self, n_r, n_theta, decoupled):
+        system = water_hamiltonian(water_spec(n_r=n_r, n_theta=n_theta), decoupled=decoupled)
+        for terms in (system.terms, system.terms_eff):
+            assert frobenius_sq(terms, system.dims) == loop_frobenius_sq(terms, system.dims)
+
+    def test_peak_memory(self):
+        # the norm builds one block of H at a time, no larger than 168 rows
+        # of 2016 (2.6 MiB) at 12x12x14; the assembly adds each term through
+        # a buffer of the entries it writes
+        system = water_hamiltonian(water_spec(n_r=12, n_theta=14))
+        assert _peak_bytes(sop_max_abs, system.terms, system.dims) <= 5.6 * 2**20
+        small = water_hamiltonian(water_spec(n_r=8, n_theta=8))
+        n = small.spec.grid_size
+        assert _peak_bytes(assemble_dense, small.terms, small.dims) <= 1.25 * n * n * 8
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            water_spec(n_r=8, n_theta=8),
+            water_spec(n_r=12, n_theta=14),
+            replace(water_spec(), basis_sizes=(8, 16, 8)),
+            replace(water_spec(), basis_sizes=(16, 8, 8)),
+            ToyMoleculeSpec(basis_sizes=(8, 16), coupling_mass_da=2.0, **_CHAIN),
+        ],
+    )
+    def test_full_dvr_sparsity_is_the_densest_row(self, spec):
+        h = kron_dense(water_hamiltonian(spec).terms, spec.basis_sizes)
+        assert full_dvr_sparsity(spec) == int(np.max(np.count_nonzero(h, axis=1)))
 
 
 def hand_written_terms(spec, decoupled=False):
